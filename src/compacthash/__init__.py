@@ -9,15 +9,14 @@ fuzzing, trace replay, and a churn benchmark.
 
 from .compact import CompactTable, Slot
 from .errors import (CapacityTooSmallError, CompactHashError, EmptyKeyUniverseError,
-                     StepNotCoprimeError, StepOutOfRangeError, TableFullError,
-                     TraceParseError, ZeroCapacityError)
+                     KeyOutOfRangeError, StepNotCoprimeError, StepOutOfRangeError,
+                     TableFullError, TraceParseError, ZeroCapacityError)
 from .harness import (ADD, CONTAINS, GENERATOR_ID, REMOVE, Divergence, InvariantFailure,
                       OpRecord, SplitMix64, Verdict, WorkloadSpec, format_trace,
                       generate_workload, model_apply, parse_trace, run_differential)
 from .introspect import (COUNT_MISMATCH, DUPLICATE_KEY, REACHABILITY_GAP,
-                         SLOT_INCONSISTENT, OpCost, ProbeStats, Violation,
-                         ViolationReport, check_invariants, measure_op_cost,
-                         probe_stats)
+                         SLOT_INCONSISTENT, ProbeStats, Violation, ViolationReport,
+                         check_invariants, probe_stats)
 from .probing import TableParams, hash_index, probe_slot, validate_params
 from .tombstone import BUSY, DELETED, FREE, TombstoneSlot, TombstoneTable
 
@@ -27,11 +26,11 @@ __all__ = [
     "ADD", "BUSY", "CONTAINS", "COUNT_MISMATCH", "DELETED", "DUPLICATE_KEY", "FREE",
     "GENERATOR_ID", "REACHABILITY_GAP", "REMOVE", "SLOT_INCONSISTENT",
     "CapacityTooSmallError", "CompactHashError", "CompactTable", "Divergence",
-    "EmptyKeyUniverseError", "InvariantFailure", "OpCost", "OpRecord", "ProbeStats",
+    "EmptyKeyUniverseError", "InvariantFailure", "KeyOutOfRangeError", "OpRecord", "ProbeStats",
     "Slot", "SplitMix64", "StepNotCoprimeError", "StepOutOfRangeError",
     "TableFullError", "TableParams", "TombstoneSlot", "TombstoneTable",
     "TraceParseError", "Verdict", "Violation", "ViolationReport", "WorkloadSpec",
     "ZeroCapacityError", "check_invariants", "format_trace", "generate_workload",
-    "hash_index", "measure_op_cost", "model_apply", "parse_trace", "probe_slot",
+    "hash_index", "model_apply", "parse_trace", "probe_slot",
     "probe_stats", "run_differential", "validate_params",
 ]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .compact import CompactTable
 from .errors import CompactHashError, TableFullError, TraceParseError
-from .harness import (GENERATOR_ID, SplitMix64, WorkloadSpec, format_trace,
+from .harness import (GENERATOR_ID, LiveKeys, SplitMix64, WorkloadSpec, format_trace,
                       generate_workload, parse_trace, run_differential)
 from .introspect import probe_stats
 from .probing import TableParams, validate_params
@@ -70,7 +70,16 @@ def _parse_universe(text: str) -> tuple[int, int]:
         raise _UsageError(f"--universe expects 'lo:hi', got {text!r}") from None
 
 
+def _header_int(meta: dict[str, str], name: str, default: int) -> int:
+    try:
+        return int(meta.get(name, default))
+    except ValueError:
+        raise _UsageError(f"trace header {name}={meta[name]!r} is not an integer") from None
+
+
 def cmd_fuzz(args) -> int:
+    if args.ops < 1 or args.check_every < 1:
+        raise _UsageError(f"--ops and --check-every must be >= 1, got {args.ops} and {args.check_every}")
     params = validate_params(TableParams(args.capacity, args.step))
     # keys must outnumber slots or key % capacity never collides and the
     # fuzz exercises no probe chains at all
@@ -101,10 +110,10 @@ def cmd_trace(args) -> int:
     except OSError as e:
         raise _UsageError(f"cannot read trace file: {e}") from None
     ops, meta = parse_trace(text)
-    capacity = args.capacity if args.capacity is not None else int(meta.get("capacity", 0))
+    capacity = args.capacity if args.capacity is not None else _header_int(meta, "capacity", 0)
     if capacity < 1:
         raise _UsageError("capacity not given and not present in trace headers")
-    step = args.step if args.step is not None else int(meta.get("step", 1))
+    step = args.step if args.step is not None else _header_int(meta, "step", 1)
     params = validate_params(TableParams(capacity, step))
     table = CompactTable(params) if args.table == "compact" else TombstoneTable(params)
     results = []
@@ -126,6 +135,8 @@ def _signed(u: int) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.batch < 0 or args.rounds < 0:
+        raise _UsageError(f"--batch and --rounds must be >= 0, got {args.batch} and {args.rounds}")
     params = validate_params(TableParams(args.capacity, args.step))
     if args.adversarial:
         return _bench_adversarial(args, params)
@@ -135,8 +146,9 @@ def cmd_bench(args) -> int:
     compact = CompactTable(params)
     tombstone = TombstoneTable(params)
     next_u64 = SplitMix64(args.seed).next_u64
-    live_list: list[int] = []
-    live_index: dict[int, int] = {}
+    live = LiveKeys()
+    live_list, live_index = live.keys, live.index
+    track_add, track_remove = live.add, live.discard
 
     def fresh_key() -> int:
         for _ in range(4096):
@@ -144,20 +156,6 @@ def cmd_bench(args) -> int:
             if key not in live_index:
                 return key
         raise _UsageError("could not draw a fresh 64-bit key")  # practically unreachable
-
-    def track_add(key: int) -> None:
-        live_index[key] = len(live_list)
-        live_list.append(key)
-
-    def pick_remove() -> int:
-        at = next_u64() % len(live_list)
-        key = live_list[at]
-        last = live_list.pop()
-        del live_index[key]
-        if at < len(live_list):
-            live_list[at] = last
-            live_index[last] = at
-        return key
 
     for _ in range(args.live_target):
         key = fresh_key()
@@ -171,7 +169,8 @@ def cmd_bench(args) -> int:
     for round_no in range(1, args.rounds + 1):
         relocations = 0
         for _ in range(min(args.batch, len(live_list))):
-            key = pick_remove()
+            key = live_list[next_u64() % len(live_list)]
+            track_remove(key)
             _, _find, scan, moved = compact.remove_counted(key)
             relocations += moved
             compress_slots += scan

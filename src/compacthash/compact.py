@@ -6,19 +6,13 @@ empty slot. Deletion frees the slot and then compresses the chains that
 ran through it, relocating any later entry whose probe count exceeds its
 offset from the freed slot. No "deleted" markers are ever needed, so the
 table never degrades under insert/delete churn.
-
-Instances are single-writer: no call is safe concurrently with a
-mutation on the same instance, but distinct instances are independent
-and may live on different threads.
 """
 
 from array import array
-from dataclasses import replace
-from math import gcd
 from typing import Iterator, NamedTuple
 
-from .errors import CapacityTooSmallError, TableFullError
-from .probing import TableParams, validate_params
+from .errors import TableFullError
+from .probing import OpenAddressTable, TableParams
 
 
 class Slot(NamedTuple):
@@ -28,42 +22,26 @@ class Slot(NamedTuple):
     probe_count: int
 
 
-class CompactTable:
+class CompactTable(OpenAddressTable):
     """Integer set with open addressing and compaction-based deletion.
 
-    At least one slot is always kept empty (live count is capped at
-    capacity - 1) so that every probe loop terminates.
-
-    The compress_enabled hook exists for the differential harness to
-    demonstrate divergence detection; leave it True for correct behavior.
+    The growth threshold applies to the live count. The compress_enabled
+    hook exists for the differential harness to demonstrate divergence
+    detection; leave it True for correct behavior.
     """
 
-    __slots__ = ("_params", "_capacity", "_step", "_keys", "_probe_counts",
-                 "_live", "_compress_enabled")
+    __slots__ = ("_probe_counts", "_compress_enabled")
 
     def __init__(self, params: TableParams, *, compress_enabled: bool = True):
-        validate_params(params)
-        self._params = params
-        self._capacity = params.capacity
-        self._step = params.step
-        self._keys = array("q", bytes(8 * params.capacity))
+        super().__init__(params)
         self._probe_counts = array("q", bytes(8 * params.capacity))
-        self._live = 0
         self._compress_enabled = compress_enabled
 
-    @property
-    def params(self) -> TableParams:
-        return self._params
+    def _empty(self, params: TableParams) -> "CompactTable":
+        return CompactTable(params, compress_enabled=self._compress_enabled)
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def __len__(self) -> int:
+    def _growth_count(self) -> int:
         return self._live
-
-    def load_factor(self) -> float:
-        return self._live / self._capacity
 
     def keys(self) -> Iterator[int]:
         """Yield each stored key once, in ascending slot order."""
@@ -82,16 +60,8 @@ class CompactTable:
 
     # -- membership ----------------------------------------------------
 
-    def contains(self, key: int) -> bool:
-        return self._contains(key)[0]
-
-    __contains__ = contains
-
     def contains_counted(self, key: int) -> tuple[bool, int]:
         """Like contains, also returning the number of slots examined."""
-        return self._contains(key)
-
-    def _contains(self, key: int) -> tuple[bool, int]:
         m = self._capacity
         step = self._step
         pc = self._probe_counts
@@ -109,25 +79,7 @@ class CompactTable:
 
     # -- insertion ------------------------------------------------------
 
-    def insert(self, key: int) -> bool:
-        """Add key; False if it was already present.
-
-        With growth enabled, the table rehashes into a larger capacity
-        before probing whenever the next insert would push the load
-        factor over the growth threshold.
-        """
-        return self._insert(key)[0]
-
-    def insert_counted(self, key: int) -> tuple[bool, int]:
-        return self._insert(key)
-
-    def _insert(self, key: int) -> tuple[bool, int]:
-        p = self._params
-        if p.growth_enabled and (self._live + 1) / self._capacity > p.growth_load_factor:
-            self._grow()
-        return self._probe_insert(key)
-
-    def _probe_insert(self, key: int) -> tuple[bool, int]:
+    def _place_insert(self, key: int) -> tuple[bool, int]:
         m = self._capacity
         step = self._step
         pc = self._probe_counts
@@ -148,32 +100,13 @@ class CompactTable:
         self._live += 1
         return True, j
 
-    def _grow(self) -> None:
-        p = self._params
-        new_cap = p.growth_multiplier * self._capacity
-        while gcd(self._step, new_cap) != 1:
-            new_cap += 1
-        self._adopt(self.rehash(replace(p, capacity=new_cap)))
-
-    def _adopt(self, other: "CompactTable") -> None:
-        self._params = other._params
-        self._capacity = other._capacity
-        self._step = other._step
-        self._keys = other._keys
-        self._probe_counts = other._probe_counts
-        self._live = other._live
-
     # -- deletion -------------------------------------------------------
 
-    def remove(self, key: int) -> bool:
-        """Delete key and compress the probe chains through its slot."""
-        return self._remove(key)[0]
-
     def remove_counted(self, key: int) -> tuple[bool, int, int, int]:
-        """Like remove, returning (removed, find_slots, compress_slots, relocations)."""
-        return self._remove(key)
+        """Delete key and compress the probe chains through its slot.
 
-    def _remove(self, key: int) -> tuple[bool, int, int, int]:
+        Returns (removed, find_slots, compress_slots, relocations).
+        """
         m = self._capacity
         step = self._step
         pc = self._probe_counts
@@ -233,21 +166,3 @@ class CompactTable:
             off += 1
             scanned += 1
         return scanned, moved
-
-    # -- resizing -------------------------------------------------------
-
-    def rehash(self, new_params: TableParams) -> "CompactTable":
-        """Rebuild into a fresh table with new_params, keeping all keys.
-
-        Keys are reinserted in ascending old slot order, which makes the
-        result reproducible byte for byte. Raises CapacityTooSmallError
-        if the new capacity cannot hold every key plus one empty slot.
-        """
-        validate_params(new_params)
-        if new_params.capacity - 1 < self._live:
-            raise CapacityTooSmallError(
-                f"capacity {new_params.capacity} cannot hold {self._live} keys plus an empty slot")
-        fresh = CompactTable(new_params, compress_enabled=self._compress_enabled)
-        for key in self.keys():
-            fresh._probe_insert(key)  # growth must not fire mid-rebuild
-        return fresh

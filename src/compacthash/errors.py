@@ -21,6 +21,10 @@ class TableFullError(CompactHashError):
     """Insertion would leave no empty slot, breaking probe-loop termination."""
 
 
+class KeyOutOfRangeError(CompactHashError):
+    """Key lies outside the signed 64-bit range the slot arrays store."""
+
+
 class CapacityTooSmallError(CompactHashError):
     """Rehash target cannot hold the current live keys plus one empty slot."""
 

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 from .compact import CompactTable
 from .errors import EmptyKeyUniverseError, TableFullError, TraceParseError
 from .introspect import ViolationReport, check_invariants
-from .probing import TableParams, validate_params
+from .probing import KEY_MAX, KEY_MIN, TableParams, validate_params
 from .tombstone import TombstoneTable
 
 ADD = "add"
@@ -69,6 +69,34 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
+class LiveKeys:
+    """The currently live keys, for seeded uniform picks among them.
+
+    keys lists them and index maps each to its position in keys. Removal
+    moves the last key into the freed position, so the order of keys, and
+    with it every seeded pick, depends only on the sequence of calls.
+    """
+
+    __slots__ = ("keys", "index")
+
+    def __init__(self):
+        self.keys: list[int] = []
+        self.index: dict[int, int] = {}
+
+    def add(self, key: int) -> None:
+        if key not in self.index:
+            self.index[key] = len(self.keys)
+            self.keys.append(key)
+
+    def discard(self, key: int) -> None:
+        at = self.index.pop(key, None)
+        if at is not None:
+            last = self.keys.pop()
+            if at < len(self.keys):
+                self.keys[at] = last
+                self.index[last] = at
+
+
 def model_apply(model: set, op: OpRecord) -> bool:
     """Apply op to the reference set, returning what a table must return."""
     if op.kind == ADD:
@@ -113,21 +141,9 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
     rng = SplitMix64(spec.seed)
     next_u64 = rng.next_u64
     ops: list[OpRecord] = []
-    live_list: list[int] = []
-    live_index: dict[int, int] = {}
-
-    def track_add(key: int) -> None:
-        if key not in live_index:
-            live_index[key] = len(live_list)
-            live_list.append(key)
-
-    def track_remove(key: int) -> None:
-        at = live_index.pop(key, None)
-        if at is not None:
-            last = live_list.pop()
-            if at < len(live_list):
-                live_list[at] = last
-                live_index[last] = at
+    live = LiveKeys()
+    live_list, live_index = live.keys, live.index
+    track_add, track_remove = live.add, live.discard
 
     for _ in range(spec.op_count):
         u = next_u64()
@@ -312,5 +328,7 @@ def parse_trace(text: str) -> tuple[list[OpRecord], dict[str, str]]:
             key = int(parts[1])
         except ValueError:
             raise TraceParseError(line_no, f"key is not an integer: {parts[1]!r}") from None
+        if not KEY_MIN <= key <= KEY_MAX:
+            raise TraceParseError(line_no, f"key {key} is outside the signed 64-bit range")
         ops.append(OpRecord(kind, key))
     return ops, meta

@@ -76,16 +76,6 @@ class ProbeStats:
         }
 
 
-@dataclass(frozen=True)
-class OpCost:
-    """Slots examined by one executed operation, split by phase."""
-
-    slots_examined: int
-    relocations: int
-    find_slots: int
-    compress_slots: int
-
-
 # Cycle-order index maps, keyed by (capacity, step). sigma[t] is the slot
 # visited at position t of the shared probe cycle; pos is its inverse.
 _CYCLE_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -323,26 +313,3 @@ def _cluster_lengths(occupied: np.ndarray) -> list[int]:
         lengths[-1] += lengths[0]
         lengths.pop(0)
     return lengths
-
-
-def measure_op_cost(table: AnyTable, op) -> OpCost:
-    """Execute op (an OpRecord) against table, counting slots examined.
-
-    Mutating kinds really mutate the table. For a compact-table remove,
-    the find phase and the compress scan are reported separately;
-    relocations counts entries the compression moved.
-    """
-    kind = op.kind
-    if kind == "add":
-        _, n = table.insert_counted(op.key)
-        return OpCost(n, 0, n, 0)
-    if kind == "contains":
-        _, n = table.contains_counted(op.key)
-        return OpCost(n, 0, n, 0)
-    if kind == "remove":
-        if isinstance(table, CompactTable):
-            _, find, scan, moved = table.remove_counted(op.key)
-            return OpCost(find + scan, moved, find, scan)
-        _, n = table.remove_counted(op.key)
-        return OpCost(n, 0, n, 0)
-    raise ValueError(f"unknown op kind {kind!r}")

@@ -1,15 +1,28 @@
-"""Hashing and probe-sequence arithmetic shared by both table variants.
+"""Hashing, probe-sequence arithmetic and the core both tables share.
 
-All functions here are pure; a :class:`TableParams` instance is immutable
+The functions here are pure; a :class:`TableParams` instance is immutable
 and safe to share between threads and tables.
+
+:class:`OpenAddressTable` is everything CompactTable and TombstoneTable
+have in common: the key array and live count, the accessors, the growth
+policy, rebuilding by rehash, the signed 64-bit key check, and the public
+insert/contains/remove wrappers over each table's counted operations.
+The tables differ only in their slot-state array and the code that
+probes, places and deletes.
 """
 
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from math import gcd
 
-from .errors import StepNotCoprimeError, StepOutOfRangeError, ZeroCapacityError
+from .errors import (CapacityTooSmallError, KeyOutOfRangeError, StepNotCoprimeError,
+                     StepOutOfRangeError, ZeroCapacityError)
 
 DEFAULT_CAPACITY = 1_000_000
+
+# Keys are stored in signed 64-bit slot arrays.
+KEY_MIN = -(1 << 63)
+KEY_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -62,3 +75,104 @@ def hash_index(key: int, capacity: int) -> int:
 def probe_slot(key: int, j: int, params: TableParams) -> int:
     """Slot examined on the j-th probe for key (j = 0 is the home slot)."""
     return (key % params.capacity + params.step * j) % params.capacity
+
+
+class OpenAddressTable:
+    """Integer set over capacity slots probed (home + step * j) mod capacity.
+
+    Keys are signed 64-bit integers. At least one slot is always kept
+    empty so that every probe loop terminates. A subclass supplies:
+
+    - contains_counted(key) -> (found, slots examined);
+    - remove_counted(key) -> a tuple whose first item is "removed";
+    - _place_insert(key) -> (added, slots examined), without growth;
+    - _growth_count(), the slot count the growth threshold applies to;
+    - _empty(params), a fresh empty table of the same kind;
+    - keys(), yielding the stored keys in ascending slot order.
+
+    Instances are single-writer: no call is safe concurrently with a
+    mutation on the same instance, but distinct instances are independent
+    and may live on different threads.
+    """
+
+    __slots__ = ("_params", "_capacity", "_step", "_keys", "_live")
+
+    def __init__(self, params: TableParams):
+        validate_params(params)
+        self._params = params
+        self._capacity = params.capacity
+        self._step = params.step
+        self._keys = array("q", bytes(8 * params.capacity))
+        self._live = 0
+
+    @property
+    def params(self) -> TableParams:
+        return self._params
+
+    @property
+    def capacity(self) -> int:
+        return self._capacity
+
+    def __len__(self) -> int:
+        return self._live
+
+    def load_factor(self) -> float:
+        return self._live / self._capacity
+
+    def insert(self, key: int) -> bool:
+        """Add key; False if it was already present."""
+        return self.insert_counted(key)[0]
+
+    def contains(self, key: int) -> bool:
+        return self.contains_counted(key)[0]
+
+    __contains__ = contains
+
+    def remove(self, key: int) -> bool:
+        """Delete key; False if it was absent."""
+        return self.remove_counted(key)[0]
+
+    def insert_counted(self, key: int) -> tuple[bool, int]:
+        """Like insert, also returning the number of slots examined.
+
+        With growth enabled, the table rehashes into a larger capacity
+        before probing whenever the next insert would push the growth
+        count over the threshold. Raises KeyOutOfRangeError for a key
+        outside the signed 64-bit range and TableFullError when the key
+        would take the last empty slot; either leaves the table unchanged.
+        """
+        if not KEY_MIN <= key <= KEY_MAX:
+            raise KeyOutOfRangeError(f"key {key} is outside the signed 64-bit range")
+        p = self._params
+        if p.growth_enabled and (self._growth_count() + 1) / self._capacity > p.growth_load_factor:
+            self._grow()
+        return self._place_insert(key)
+
+    def _grow(self) -> None:
+        p = self._params
+        new_cap = p.growth_multiplier * self._capacity
+        while gcd(self._step, new_cap) != 1:
+            new_cap += 1
+        self._adopt(self.rehash(replace(p, capacity=new_cap)))
+
+    def _adopt(self, other: "OpenAddressTable") -> None:
+        for cls in type(self).__mro__:
+            for name in vars(cls).get("__slots__", ()):
+                setattr(self, name, getattr(other, name))
+
+    def rehash(self, new_params: TableParams) -> "OpenAddressTable":
+        """Rebuild into a fresh table with new_params, keeping all keys.
+
+        Keys are reinserted in ascending old slot order, which makes the
+        result reproducible byte for byte; growth never fires during the
+        rebuild. Raises CapacityTooSmallError if the new capacity cannot
+        hold every key plus one empty slot.
+        """
+        validate_params(new_params)
+        if new_params.capacity - 1 < self._live:
+            raise CapacityTooSmallError(
+                f"capacity {new_params.capacity} cannot hold {self._live} keys plus an empty slot")
+        fresh = self._empty(new_params)
+        for key in self.keys():
+            fresh._place_insert(key)
+        return fresh

@@ -13,20 +13,16 @@ saturated table; both paths produce identical slot states and results.
 """
 
 from array import array
-from dataclasses import replace
-from math import gcd
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import CapacityTooSmallError, TableFullError
-from .probing import TableParams, validate_params
+from .errors import TableFullError
+from .probing import OpenAddressTable, TableParams
 
 FREE = 0
 BUSY = 1
 DELETED = 2
-
-_STATE_NAMES = {FREE: "FREE", BUSY: "BUSY", DELETED: "DELETED"}
 
 
 class TombstoneSlot(NamedTuple):
@@ -36,12 +32,13 @@ class TombstoneSlot(NamedTuple):
     state: int
 
 
-class TombstoneTable:
+class TombstoneTable(OpenAddressTable):
     """Integer set with open addressing and tombstone deletion.
 
     One FREE slot is always kept (non-FREE count capped at capacity - 1)
-    so unsuccessful searches terminate. Same single-writer concurrency
-    contract as CompactTable.
+    so unsuccessful searches terminate. The growth threshold applies to
+    the non-FREE count, and rehash is the one operation that drops
+    tombstones.
     """
 
     # Placement walks while free slots exceed capacity / _MASK_PATH_FACTOR,
@@ -49,30 +46,22 @@ class TombstoneTable:
     # either path.
     _MASK_PATH_FACTOR = 64
 
-    __slots__ = ("_params", "_capacity", "_step", "_inv_step", "_keys", "_states",
-                 "_live", "_non_free", "_slot_of", "_free_mask", "_del_mask")
+    __slots__ = ("_inv_step", "_states", "_non_free", "_slot_of", "_free_mask", "_del_mask")
 
     def __init__(self, params: TableParams):
-        validate_params(params)
-        self._params = params
-        self._capacity = params.capacity
-        self._step = params.step
+        super().__init__(params)
         self._inv_step = pow(params.step, -1, params.capacity)
-        self._keys = array("q", bytes(8 * params.capacity))
         self._states = array("b", bytes(params.capacity))
-        self._live = 0
         self._non_free = 0
         self._slot_of: dict[int, int] = {}
         self._free_mask: int | None = None
         self._del_mask: int | None = None
 
-    @property
-    def params(self) -> TableParams:
-        return self._params
+    def _empty(self, params: TableParams) -> "TombstoneTable":
+        return TombstoneTable(params)
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
+    def _growth_count(self) -> int:
+        return self._non_free
 
     @property
     def non_free_count(self) -> int:
@@ -82,12 +71,6 @@ class TombstoneTable:
     @property
     def tombstone_count(self) -> int:
         return self._non_free - self._live
-
-    def __len__(self) -> int:
-        return self._live
-
-    def load_factor(self) -> float:
-        return self._live / self._capacity
 
     def keys(self) -> Iterator[int]:
         st = self._states
@@ -112,15 +95,7 @@ class TombstoneTable:
 
     # -- membership ----------------------------------------------------
 
-    def contains(self, key: int) -> bool:
-        return self._contains(key)[0]
-
-    __contains__ = contains
-
     def contains_counted(self, key: int) -> tuple[bool, int]:
-        return self._contains(key)
-
-    def _contains(self, key: int) -> tuple[bool, int]:
         m = self._capacity
         step = self._step
         st = self._states
@@ -140,25 +115,13 @@ class TombstoneTable:
 
     def probe_cost(self, key: int) -> int:
         """Slots a lookup of key examines, terminator or hit included."""
-        return self._contains(key)[1]
+        return self.contains_counted(key)[1]
 
     # -- insertion ------------------------------------------------------
 
-    def insert(self, key: int) -> bool:
-        """Add key; False if present. Reuses the first tombstone on the
-        probe path, but only after the walk has ruled the key out."""
-        return self._insert(key)[0]
-
-    def insert_counted(self, key: int) -> tuple[bool, int]:
-        return self._insert(key)
-
-    def _insert(self, key: int) -> tuple[bool, int]:
-        p = self._params
-        if p.growth_enabled and (self._non_free + 1) / self._capacity > p.growth_load_factor:
-            self._grow()
-        return self._place_insert(key)
-
     def _place_insert(self, key: int) -> tuple[bool, int]:
+        """Reuse the first tombstone on the probe path, but only after the
+        walk has ruled the key out; otherwise take the first FREE slot."""
         m = self._capacity
         if (m - self._non_free) * self._MASK_PATH_FACTOR >= m:
             return self._insert_walk(key)
@@ -224,14 +187,8 @@ class TombstoneTable:
 
     # -- deletion -------------------------------------------------------
 
-    def remove(self, key: int) -> bool:
-        """Mark key's slot DELETED; the slot stays on every probe path."""
-        return self._remove(key)[0]
-
     def remove_counted(self, key: int) -> tuple[bool, int]:
-        return self._remove(key)
-
-    def _remove(self, key: int) -> tuple[bool, int]:
+        """Mark key's slot DELETED; the slot stays on every probe path."""
         m = self._capacity
         step = self._step
         st = self._states
@@ -287,30 +244,3 @@ class TombstoneTable:
             if hi:
                 return (hi & -hi).bit_length() - 1
         return -1
-
-    # -- resizing -------------------------------------------------------
-
-    def _grow(self) -> None:
-        p = self._params
-        new_cap = p.growth_multiplier * self._capacity
-        while gcd(self._step, new_cap) != 1:
-            new_cap += 1
-        self._adopt(self.rehash(replace(p, capacity=new_cap)))
-
-    def _adopt(self, other: "TombstoneTable") -> None:
-        for name in TombstoneTable.__slots__:
-            setattr(self, name, getattr(other, name))
-
-    def rehash(self, new_params: TableParams) -> "TombstoneTable":
-        """Rebuild with new_params, dropping every tombstone.
-
-        The one operation after which non_free_count decreases.
-        """
-        validate_params(new_params)
-        if new_params.capacity - 1 < self._live:
-            raise CapacityTooSmallError(
-                f"capacity {new_params.capacity} cannot hold {self._live} keys plus a FREE slot")
-        fresh = TombstoneTable(new_params)
-        for key in self.keys():
-            fresh._place_insert(key)  # growth must not fire mid-rebuild
-        return fresh

@@ -12,6 +12,7 @@ import pytest
 from compacthash import (CompactTable, SplitMix64, TableParams, TombstoneTable,
                          WorkloadSpec, generate_workload, run_differential)
 from compacthash.cli import main as cli_main
+from compacthash.harness import LiveKeys
 
 CAPACITY = 65536
 MIX = (0.45, 0.35, 0.20)
@@ -139,34 +140,26 @@ def test_criterion_5():
     params = TableParams(CAPACITY, 1)
     table = CompactTable(params)
     rng = SplitMix64(2025)
-    live = []
-    index = {}
-    while len(live) < 4096:
+    live = LiveKeys()
+    while len(live.keys) < 4096:
         key = rng.next_u64() - 2**63
-        if key not in index:
+        if key not in live.index:
             table.insert(key)
-            index[key] = len(live)
-            live.append(key)
+            live.add(key)
     insert_slots = compress_slots = 0
     pairs = 50_000  # 100,000 churn operations
     for _ in range(pairs):
-        at = rng.next_u64() % len(live)
-        victim = live[at]
-        last = live.pop()
-        del index[victim]
-        if at < len(live):
-            live[at] = last
-            index[last] = at
+        victim = live.keys[rng.next_u64() % len(live.keys)]
+        live.discard(victim)
         _, _find, scan, _moved = table.remove_counted(victim)
         compress_slots += scan
         while True:
             key = rng.next_u64() - 2**63
-            if key not in index:
+            if key not in live.index:
                 break
         _, n = table.insert_counted(key)
         insert_slots += n
-        index[key] = len(live)
-        live.append(key)
+        live.add(key)
     mean_insert = insert_slots / pairs
     mean_compress = compress_slots / pairs
     gap = abs(mean_insert - mean_compress) / mean_insert

@@ -152,5 +152,26 @@ class TestBench:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, trace_text", [
+    (("trace", "{path}"), "# capacity=abc\na 1\n"),
+    (("trace", "{path}"), "# capacity=7 step=abc\na 1\n"),
+    (("trace", "{path}", "--capacity", "7"), f"a 1\na {2**63}\n"),
+    (("fuzz", "--ops", "0"), None),
+    (("fuzz", "--check-every", "0"), None),
+    (("bench", "--batch", "-1"), None),
+    (("bench", "--rounds", "-1"), None),
+    (("bench", "--batch", "-1", "--adversarial"), None),
+], ids=["capacity-header", "step-header", "key-2^63", "fuzz-ops-0", "fuzz-check-every-0",
+        "bench-batch-neg", "bench-rounds-neg", "adversarial-batch-neg"])
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, trace_text):
+    path = tmp_path / "ops.trace"
+    if trace_text is not None:
+        path.write_text(trace_text)
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert run(capsys)[0] == 2

@@ -1,0 +1,40 @@
+"""Pinned output digests: refactors must reproduce these bytes exactly.
+
+The digests were recorded from the implementation before the two tables
+shared a core. The bench runs use a small table that the churn drives
+into the tombstone table's saturated (bitmask) placement regime, at a
+unit and a non-unit step.
+"""
+
+import hashlib
+
+import pytest
+
+from compacthash import WorkloadSpec, format_trace, generate_workload
+from compacthash.cli import main
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_generated_trace_digest():
+    spec = WorkloadSpec(seed=11, op_count=3000, key_universe=(-500, 700),
+                        churn_rounds=6, churn_batch=40)
+    meta = {"capacity": 257, "step": 3, "seed": 11, "generator": "splitmix64"}
+    assert sha256(format_trace(generate_workload(spec), meta)) == (
+        "0f49cf91813244035978cec8c4b285f4010f8178b22e528700b400a50f9dba87")
+
+
+CHURN = ("bench", "--capacity", "4096", "--live-target", "2048", "--batch", "1024", "--rounds", "12")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (CHURN + ("--step", "1"), "4e3732a77526daf2f7707d698bf672abdc2d5a9b598d7a24ffa47b89306a7536"),
+    (CHURN + ("--step", "3"), "5f742c317fbd7205067d9f11885d89c45007c16cc8eccc3e93aeee225472fc6e"),
+    (("bench", "--capacity", "4096", "--step", "3", "--batch", "300", "--adversarial", "--format", "json"),
+     "444e25c328edc52edb9ed2a895d7b9bb01cca6c77c3c4f1d363eaf2680a73f3e"),
+], ids=["churn-step1", "churn-step3", "adversarial-json"])
+def test_bench_digest(capsys, argv, digest):
+    assert main(list(argv)) == 0
+    assert sha256(capsys.readouterr().out) == digest

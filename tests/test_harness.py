@@ -164,6 +164,13 @@ class TestTraceFormat:
         with pytest.raises(TraceParseError, match="line 1"):
             parse_trace("a\n")
 
+    def test_key_outside_int64_reports_line_number(self):
+        parse_trace(f"a {-(2**63)}\nr {2**63 - 1}\n")  # the extremes themselves are fine
+        with pytest.raises(TraceParseError, match="line 2"):
+            parse_trace(f"a 1\na {2**63}\n")
+        with pytest.raises(TraceParseError, match="line 1"):
+            parse_trace(f"c {-(2**63) - 1}\n")
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from([ADD, CONTAINS, REMOVE]),

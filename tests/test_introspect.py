@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compacthash import (COUNT_MISMATCH, DUPLICATE_KEY, FREE, REACHABILITY_GAP,
-                         SLOT_INCONSISTENT, CompactTable, OpRecord, TableParams,
-                         TombstoneTable, check_invariants, measure_op_cost,
-                         probe_stats)
+                         SLOT_INCONSISTENT, CompactTable, TableParams, TombstoneTable,
+                         check_invariants, probe_stats)
 
 
 def compact(capacity, step=1, keys=()):
@@ -188,35 +187,31 @@ def test_mean_success_agrees_with_lookup_replay(ops, shape):
 
 
 class TestMeasureOpCost:
+    """Slot costs of single operations, as the *_counted methods report them."""
+
     def test_contains_on_empty_table(self):
-        cost = measure_op_cost(compact(7), OpRecord("contains", 5))
-        assert (cost.slots_examined, cost.relocations) == (1, 0)
+        assert compact(7).contains_counted(5) == (False, 1)
 
     def test_remove_reports_phases_separately(self):
-        cost = measure_op_cost(compact(7, keys=[7, 14, 21]), OpRecord("remove", 7))
-        assert cost.find_slots == 1
-        assert cost.compress_slots == 3  # two busy slots plus the terminator
-        assert cost.relocations == 2
-        assert cost.slots_examined == 4
+        removed, find, compress, relocations = compact(7, keys=[7, 14, 21]).remove_counted(7)
+        assert removed
+        assert find == 1
+        assert compress == 3  # two busy slots plus the terminator
+        assert relocations == 2
 
     def test_insert_walks_to_first_empty(self):
-        cost = measure_op_cost(compact(7, keys=[7, 14]), OpRecord("add", 21))
-        assert cost.slots_examined == 3
+        assert compact(7, keys=[7, 14]).insert_counted(21) == (True, 3)
 
     def test_mutating_ops_really_mutate(self):
         t = compact(7, keys=[7])
-        measure_op_cost(t, OpRecord("remove", 7))
+        t.remove_counted(7)
         assert len(t) == 0
-        measure_op_cost(t, OpRecord("add", 3))
+        t.insert_counted(3)
         assert 3 in t
 
     def test_tombstone_costs(self):
         t = tombstone(7, keys=[7, 14])
         t.remove(7)
-        assert measure_op_cost(t, OpRecord("contains", 21)).slots_examined == 3
-        assert measure_op_cost(t, OpRecord("add", 21)).slots_examined == 3
+        assert t.contains_counted(21) == (False, 3)
+        assert t.insert_counted(21) == (True, 3)
         assert t.slot(0) == (21, 1)  # reused the tombstone
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            measure_op_cost(compact(7), OpRecord("frobnicate", 1))

@@ -1,9 +1,10 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from compacthash import (StepNotCoprimeError, StepOutOfRangeError, TableParams,
+from compacthash import (CompactTable, KeyOutOfRangeError, StepNotCoprimeError,
+                         StepOutOfRangeError, TableFullError, TableParams, TombstoneTable,
                          ZeroCapacityError, hash_index, probe_slot, validate_params)
 
 I64_MIN = -(1 << 63)
@@ -93,3 +94,37 @@ def test_default_params():
     assert p.capacity == 1_000_000
     assert p.step == 1
     assert not p.growth_enabled
+
+
+EDGE_KEYS = [I64_MIN, I64_MAX, I64_MIN - 1, I64_MAX + 1, 2**64, -(2**70)]
+
+
+def _snapshot(table):
+    return table.state_bytes(), len(table), getattr(table, "non_free_count", None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([CompactTable, TombstoneTable]),
+       st.sampled_from([(5, 1), (7, 3), (8, 3)]),
+       st.booleans(),
+       st.lists(st.tuples(st.sampled_from("ar"),
+                          st.one_of(st.integers(-20, 20), st.sampled_from(EDGE_KEYS))),
+                max_size=40))
+def test_failed_insert_leaves_table_unchanged(cls, shape, growth, ops):
+    # an insert either succeeds or raises a CompactHashError without any
+    # side effect (growth included): slot bytes and counters stay as they were
+    capacity, step = shape
+    table = cls(TableParams(capacity, step, growth_enabled=growth))
+    for kind, key in ops:
+        if kind == "r":
+            table.remove(key)
+            continue
+        in_range = I64_MIN <= key <= I64_MAX
+        before = _snapshot(table)
+        try:
+            table.insert(key)
+        except (KeyOutOfRangeError, TableFullError) as e:
+            assert isinstance(e, TableFullError) == in_range
+            assert _snapshot(table) == before
+        else:
+            assert in_range
