@@ -78,8 +78,9 @@ def _header_int(meta: dict[str, str], name: str, default: int) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    if args.ops < 1 or args.check_every < 1:
-        raise _UsageError(f"--ops and --check-every must be >= 1, got {args.ops} and {args.check_every}")
+    if args.ops < 1 or args.check_every < 1 or args.seed_count < 1:
+        raise _UsageError(f"--ops, --check-every and --seed-count must be >= 1, "
+                          f"got {args.ops}, {args.check_every} and {args.seed_count}")
     params = validate_params(TableParams(args.capacity, args.step))
     # keys must outnumber slots or key % capacity never collides and the
     # fuzz exercises no probe chains at all

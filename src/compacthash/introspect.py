@@ -231,6 +231,9 @@ def _check_tombstone(table: TombstoneTable) -> ViolationReport:
 def probe_stats(table: AnyTable) -> ProbeStats:
     """Probe-length histogram, success/miss means, and cluster shape.
 
+    cluster_lengths lists the runs of occupied (non-FREE) slots in
+    probe-cycle order, where the clusters that lengthen probes live.
+
     Compact tables read probe lengths straight from the stored counts;
     tombstone tables derive them by replaying a lookup of every stored
     key. mean_miss averages, over all capacity home positions, the cost
@@ -257,6 +260,7 @@ def probe_stats(table: AnyTable) -> ProbeStats:
         raise TypeError(f"unsupported table type {type(table).__name__}")
 
     m = table.capacity
+    sigma, _ = _cycle_maps(m, table.params.step)
     if costs.size:
         counts = np.bincount(costs)
         histogram = {int(v): int(c) for v, c in enumerate(counts) if v and c}
@@ -271,7 +275,7 @@ def probe_stats(table: AnyTable) -> ProbeStats:
         mean_success=mean_success,
         mean_miss=_mean_miss(open_slots, m, table.params.step),
         max_probe=max_probe,
-        cluster_lengths=_cluster_lengths(occupied),
+        cluster_lengths=_cluster_lengths(occupied[sigma]),
         load_factor=len(table) / m,
         tombstone_count=tombstones,
     )
@@ -290,10 +294,12 @@ def _mean_miss(open_slots: np.ndarray, m: int, step: int) -> float:
 
 
 def _cluster_lengths(occupied: np.ndarray) -> list[int]:
-    """Lengths of maximal cyclic runs of occupied slots, in slot order.
+    """Lengths of maximal cyclic runs of occupied slots in probe-cycle order.
 
-    A run wrapping the end of the array is reported once; it is listed
-    last because its true start lies near the top of the array.
+    occupied is indexed by cycle position, so a run is a stretch of slots
+    that probe sequences visit one after another (consecutive slots only
+    when step is 1). A run wrapping the end of the cycle is reported once;
+    it is listed last because its true start lies near the end.
     """
     m = occupied.size
     if not occupied.any():

@@ -158,11 +158,14 @@ class TestBench:
     (("trace", "{path}", "--capacity", "7"), f"a 1\na {2**63}\n"),
     (("fuzz", "--ops", "0"), None),
     (("fuzz", "--check-every", "0"), None),
+    (("fuzz", "--seed-count", "0"), None),
+    (("fuzz", "--seed-count", "-3"), None),
     (("bench", "--batch", "-1"), None),
     (("bench", "--rounds", "-1"), None),
     (("bench", "--batch", "-1", "--adversarial"), None),
 ], ids=["capacity-header", "step-header", "key-2^63", "fuzz-ops-0", "fuzz-check-every-0",
-        "bench-batch-neg", "bench-rounds-neg", "adversarial-batch-neg"])
+        "fuzz-seed-count-0", "fuzz-seed-count-neg", "bench-batch-neg", "bench-rounds-neg",
+        "adversarial-batch-neg"])
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, trace_text):
     path = tmp_path / "ops.trace"
     if trace_text is not None:

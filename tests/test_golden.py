@@ -2,8 +2,8 @@
 
 The digests were recorded from the implementation before the two tables
 shared a core. The bench runs use a small table that the churn drives
-into the tombstone table's saturated (bitmask) placement regime, at a
-unit and a non-unit step.
+into the tombstone table's saturated regime, where FREE slots are
+scarce, at a unit and a non-unit step.
 """
 
 import hashlib

@@ -111,6 +111,13 @@ class TestProbeStats:
         t = compact(11, keys=[0, 11, 5])
         assert sorted(probe_stats(t).cluster_lengths) == [1, 2]
 
+    def test_clusters_in_probe_cycle_order(self):
+        # step 3: slots 0 and 3 hold keys 0 and 7 and are consecutive on
+        # the probe cycle 0, 3, 6, 2, 5, 1, 4
+        t = compact(7, 3, keys=[0, 7])
+        assert [i for i in range(7) if t.slot(i).probe_count] == [0, 3]
+        assert probe_stats(t).cluster_lengths == [2]
+
     def test_tombstone_stats_after_churn(self):
         t = tombstone(2100)
         for i in range(1000):
