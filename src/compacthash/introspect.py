@@ -7,6 +7,26 @@ slots examined, a deterministic cost model, rather than wall time.
 Everything here is read-only over a quiescent table and vectorized with
 numpy over zero-copy views of the slot arrays, which keeps per-operation
 invariant checking affordable inside differential runs.
+
+Reachability (Knuth, TAOCP Vol. 3, 6.4, Algorithm R: a key is found iff
+no empty slot lies between its home and its slot) is a predecessor test
+on probe-cycle positions. Let cp be the sorted cycle positions of the
+occupied slots (busy slots of a compact table, non-FREE slots of a
+tombstone table) and rank a key's index in cp. The d path positions
+before the key are all occupied iff the d-th occupied position before
+it, cp[rank - d] taken cyclically, lies exactly d steps back: O(1) per
+key, with no prefix sums. Only a key that fails the test has its
+occupied path positions counted, for the report. Duplicate keys are
+screened with one sort; the stable argsort that names the reported
+slots runs only when the screen finds a repeat.
+
+The only O(capacity) work in the checker is the compares that build
+the occupancy masks and the flatnonzero over them, plus, for a
+tombstone table at step != 1, one gather of its state bytes into cycle
+order: non-FREE slots can far outnumber keys, so a sort of their
+positions could cost more. Everything else is O(keys) or
+O(keys log keys). A compact table at step != 1 gets cp by sorting its
+busy slots' positions.
 """
 
 from dataclasses import dataclass, field
@@ -111,15 +131,62 @@ def check_invariants(table: AnyTable) -> ViolationReport:
     raise TypeError(f"unsupported table type {type(table).__name__}")
 
 
-def _window_counts(cs: np.ndarray, start: np.ndarray, length: np.ndarray, m: int) -> np.ndarray:
-    """Sums of a cyclic 0/1 array over windows [start, start+length), via its prefix sums."""
-    end = start + length
-    wrapped = end > m
-    plain = cs[np.minimum(end, m)] - cs[start]
-    return np.where(wrapped, cs[m] - cs[start] + cs[np.maximum(end - m, 0)], plain)
+def _cycle_order(per_slot: np.ndarray, step: int) -> np.ndarray:
+    """A per-slot array reindexed by probe-cycle position (itself at step 1)."""
+    if step == 1:
+        return per_slot
+    # sigma is in range by construction; "clip" only skips the bounds check
+    return np.take(per_slot, _cycle_maps(per_slot.size, step)[0], mode="clip")
+
+
+def _cycle_ranks(slots: np.ndarray, m: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cycle positions of the ascending, distinct slots, sorted and per slot.
+
+    Returns (cp, cpos, rank): cp sorted, cpos[i] the position of slots[i]
+    and rank[i] its index in cp. O(n log n) in the number of slots; the
+    one m-sized array is allocated but only written at those positions.
+    """
+    if step == 1:
+        return slots, slots, np.arange(slots.size)
+    cpos = _cycle_maps(m, step)[1][slots]
+    cp = np.sort(cpos)
+    rank_of = np.empty(m, dtype=np.int64)
+    rank_of[cp] = np.arange(cp.size)
+    return cp, cpos, rank_of[cpos]
+
+
+def _path_full(cp: np.ndarray, cpos: np.ndarray, rank: np.ndarray, d: np.ndarray, m: int) -> np.ndarray:
+    """Whether the d cycle positions just before each cpos are all occupied.
+
+    cp holds the sorted, distinct occupied cycle positions, cpos is
+    cp[rank] and 0 <= d < m. The d positions before cpos are all
+    occupied iff the d-th occupied position before it, cp[rank - d] taken
+    cyclically, lies exactly d steps back: a difference of d, or d - m
+    across the end of the cycle. O(1) per key.
+    """
+    n = cp.size
+    back = cpos - cp[rank - np.minimum(d, n - 1)]  # a negative index wraps once
+    return (d < n) & ((back == d) | (back == d - m))
+
+
+def _occupied_before(cp: np.ndarray, cpos: np.ndarray, d: np.ndarray, m: int) -> np.ndarray:
+    """How many of the d cycle positions just before each cpos lie in cp."""
+    lo = cpos - d
+    return np.searchsorted(cp, cpos) - np.searchsorted(cp, lo % m) + np.where(lo < 0, cp.size, 0)
 
 
 def _dup_violations(keys_busy: np.ndarray, slots_busy: np.ndarray) -> list[Violation]:
+    """DUPLICATE_KEY at every copy of a key after its lowest slot, in key order.
+
+    The pairs may come in any order. A plain sort screens for repeats;
+    putting the pairs in slot order and the stable argsort that decides
+    which slots get reported run only when the screen finds one.
+    """
+    ks = np.sort(keys_busy)
+    if not (ks[1:] == ks[:-1]).any():
+        return []
+    by_slot = np.argsort(slots_busy)
+    keys_busy, slots_busy = keys_busy[by_slot], slots_busy[by_slot]
     order = np.argsort(keys_busy, kind="stable")
     ks = keys_busy[order]
     dup_at = np.flatnonzero(ks[1:] == ks[:-1])
@@ -135,10 +202,10 @@ def _check_compact(table: CompactTable) -> ViolationReport:
     step = table.params.step
     pc = np.frombuffer(table._probe_counts, dtype=np.int64)
     keys = np.frombuffer(table._keys, dtype=np.int64)
-    busy = pc > 0
+    slots = np.flatnonzero(pc > 0)
     report = ViolationReport()
 
-    live = int(busy.sum())
+    live = slots.size
     if live != len(table):
         report.violations.append(Violation(-1, COUNT_MISMATCH, f"live_count {len(table)} but {live} busy slots"))
     if live > m - 1:
@@ -146,16 +213,17 @@ def _check_compact(table: CompactTable) -> ViolationReport:
     if live == 0:
         return report
 
-    slots = np.flatnonzero(busy)
     j = pc[slots]
     kb = keys[slots]
+    # every busy slot counts as occupied on a path, whatever its probe count
+    cp, cpos, rank = _cycle_ranks(slots, m, step)
 
     bad_range = j > m
     for s in slots[bad_range]:
         report.violations.append(Violation(int(s), SLOT_INCONSISTENT, f"probe_count {int(pc[s])} exceeds capacity {m}"))
     if bad_range.any():
         keep = ~bad_range
-        slots, j, kb = slots[keep], j[keep], kb[keep]
+        slots, j, kb, cpos, rank = slots[keep], j[keep], kb[keep], cpos[keep], rank[keep]
 
     expect = (kb % m + (j - 1) * step) % m
     consistent = expect == slots
@@ -169,20 +237,15 @@ def _check_compact(table: CompactTable) -> ViolationReport:
 
     # a slot with a broken probe count has no meaningful path; only check
     # reachability where the stored count itself is trustworthy
-    slots, j = slots[consistent], j[consistent]
-    kb = kb[consistent]
-    sigma, pos = _cycle_maps(m, step)
-    cs = np.empty(m + 1, dtype=np.int64)
-    cs[0] = 0
-    np.cumsum(busy[sigma], out=cs[1:])
-    cpos = pos[slots]
-    home_pos = (cpos - (j - 1)) % m
-    filled = _window_counts(cs, home_pos, j - 1, m)
-    for idx in np.flatnonzero(filled != j - 1):
-        s = int(slots[idx])
-        report.violations.append(Violation(
-            s, REACHABILITY_GAP,
-            f"key {int(kb[idx])} at slot {s}: only {int(filled[idx])} of {int(j[idx]) - 1} path slots busy"))
+    gap = consistent & ~_path_full(cp, cpos, rank, j - 1, m)
+    if gap.any():
+        idx = np.flatnonzero(gap)
+        filled = _occupied_before(cp, cpos[idx], j[idx] - 1, m)
+        for i, f in zip(idx, filled):
+            s = int(slots[i])
+            report.violations.append(Violation(
+                s, REACHABILITY_GAP,
+                f"key {int(kb[i])} at slot {s}: only {int(f)} of {int(j[i]) - 1} path slots busy"))
     return report
 
 
@@ -191,14 +254,22 @@ def _check_tombstone(table: TombstoneTable) -> ViolationReport:
     step = table.params.step
     st = np.frombuffer(table._states, dtype=np.int8)
     keys = np.frombuffer(table._keys, dtype=np.int64)
-    busy = st == BUSY
     report = ViolationReport()
 
-    for s in np.flatnonzero((st < FREE) | (st > DELETED)):
+    # FREE is 0 and DELETED the largest state, so as bytes every invalid
+    # state, negative ones included, compares above DELETED
+    for s in np.flatnonzero(st.view(np.uint8) > DELETED):
         report.violations.append(Violation(int(s), SLOT_INCONSISTENT, f"invalid state {int(st[s])}"))
 
-    live = int(busy.sum())
-    non_free = int((st != FREE).sum())
+    # Non-FREE slots can far outnumber keys, so their cycle positions come
+    # from one gather of the states into cycle order, not from a sort.
+    # Invalid states block no path, as DELETED ones do.
+    sigma, pos = _cycle_maps(m, step)
+    by_pos = _cycle_order(st, step)
+    cp = np.flatnonzero(by_pos != FREE)
+    rank = np.flatnonzero(by_pos[cp] == BUSY)
+    live = rank.size
+    non_free = cp.size
     if live != len(table):
         report.violations.append(Violation(-1, COUNT_MISMATCH, f"live_count {len(table)} but {live} BUSY slots"))
     if non_free != table.non_free_count:
@@ -209,22 +280,21 @@ def _check_tombstone(table: TombstoneTable) -> ViolationReport:
     if live == 0:
         return report
 
-    slots = np.flatnonzero(busy)
+    cpos = cp[rank]
+    slots = sigma[cpos]  # BUSY slots in cycle order
     kb = keys[slots]
     report.violations.extend(_dup_violations(kb, slots))
 
-    sigma, pos = _cycle_maps(m, step)
-    cs = np.empty(m + 1, dtype=np.int64)
-    cs[0] = 0
-    np.cumsum((st == FREE)[sigma], out=cs[1:])
-    home_pos = pos[kb % m]
-    dist = (pos[slots] - home_pos) % m
-    free_on_path = _window_counts(cs, home_pos, dist, m)
-    for idx in np.flatnonzero(free_on_path != 0):
-        s = int(slots[idx])
-        report.violations.append(Violation(
-            s, REACHABILITY_GAP,
-            f"key {int(kb[idx])} at slot {s}: {int(free_on_path[idx])} FREE slot(s) on its probe path"))
+    dist = (cpos - pos[kb % m]) % m
+    gap = np.flatnonzero(~_path_full(cp, cpos, rank, dist, m))
+    if gap.size:
+        gap = gap[np.argsort(slots[gap])]
+        free_on_path = dist[gap] - _occupied_before(cp, cpos[gap], dist[gap], m)
+        for i, f in zip(gap, free_on_path):
+            s = int(slots[i])
+            report.violations.append(Violation(
+                s, REACHABILITY_GAP,
+                f"key {int(kb[i])} at slot {s}: {int(f)} FREE slot(s) on its probe path"))
     return report
 
 
@@ -239,28 +309,24 @@ def probe_stats(table: AnyTable) -> ProbeStats:
     key. mean_miss averages, over all capacity home positions, the cost
     of an unsuccessful lookup (terminating empty/FREE slot included).
     """
+    m = table.capacity
+    step = table.params.step
     if isinstance(table, CompactTable):
         pc = np.frombuffer(table._probe_counts, dtype=np.int64)
-        busy = pc > 0
-        costs = pc[busy]
-        occupied = busy
-        open_slots = ~busy
+        occupied = pc > 0
+        costs = pc[occupied]
         tombstones = 0
     elif isinstance(table, TombstoneTable):
         st = np.frombuffer(table._states, dtype=np.int8)
         keys = np.frombuffer(table._keys, dtype=np.int64)
-        busy = st == BUSY
-        slots = np.flatnonzero(busy)
-        _, pos = _cycle_maps(table.capacity, table.params.step)
-        costs = (pos[slots] - pos[keys[slots] % table.capacity]) % table.capacity + 1
+        slots = np.flatnonzero(st == BUSY)
+        _, pos = _cycle_maps(m, step)
+        costs = (pos[slots] - pos[keys[slots] % m]) % m + 1
         occupied = st != FREE
-        open_slots = ~occupied
-        tombstones = int((st == DELETED).sum())
+        tombstones = int(np.count_nonzero(st == DELETED))
     else:
         raise TypeError(f"unsupported table type {type(table).__name__}")
 
-    m = table.capacity
-    sigma, _ = _cycle_maps(m, table.params.step)
     if costs.size:
         counts = np.bincount(costs)
         histogram = {int(v): int(c) for v, c in enumerate(counts) if v and c}
@@ -270,27 +336,32 @@ def probe_stats(table: AnyTable) -> ProbeStats:
         histogram = {}
         mean_success = 0.0
         max_probe = 0
+    in_cycle = _cycle_order(occupied, step)
     return ProbeStats(
         histogram=histogram,
         mean_success=mean_success,
-        mean_miss=_mean_miss(open_slots, m, table.params.step),
+        mean_miss=_mean_miss(in_cycle),
         max_probe=max_probe,
-        cluster_lengths=_cluster_lengths(occupied[sigma]),
+        cluster_lengths=_cluster_lengths(in_cycle),
         load_factor=len(table) / m,
         tombstone_count=tombstones,
     )
 
 
-def _mean_miss(open_slots: np.ndarray, m: int, step: int) -> float:
-    """Average unsuccessful-lookup cost over all m home positions."""
-    if not open_slots.any():
+def _mean_miss(occupied: np.ndarray) -> float:
+    """Average unsuccessful-lookup cost over all m home positions.
+
+    occupied is indexed by cycle position. A miss from home h examines
+    every position up to and including the first open one at or after h,
+    so the L homes of the stretch that ends at an open position cost
+    1, 2, ..., L: a sum of L(L+1)/2 per stretch, exact in integers.
+    """
+    m = occupied.size
+    open_pos = np.flatnonzero(~occupied)
+    if not open_pos.size:
         return float("inf")  # unreachable through public ops (occupancy cap)
-    _, pos = _cycle_maps(m, step)
-    open_pos = np.sort(pos[np.flatnonzero(open_slots)])
-    homes = np.arange(m, dtype=np.int64)
-    nxt = np.searchsorted(open_pos, homes)
-    cost = np.where(nxt < open_pos.size, open_pos[np.minimum(nxt, open_pos.size - 1)], open_pos[0] + m) - homes + 1
-    return float(cost.mean())
+    stretch = np.diff(open_pos, append=open_pos[0] + m)
+    return float((stretch * (stretch + 1) // 2).sum() / m)
 
 
 def _cluster_lengths(occupied: np.ndarray) -> list[int]:
@@ -306,15 +377,10 @@ def _cluster_lengths(occupied: np.ndarray) -> list[int]:
         return []
     if occupied.all():
         return [m]
-    x = occupied.astype(np.int8)
-    d = np.diff(x)
-    starts = list(np.flatnonzero(d == 1) + 1)
-    ends = list(np.flatnonzero(d == -1) + 1)
-    if occupied[0]:
-        starts.insert(0, 0)
-    if occupied[m - 1]:
-        ends.append(m)
-    lengths = [int(e - s) for s, e in zip(starts, ends)]
+    # positions where occupancy flips, with open ends before and after:
+    # run starts and run ends alternate
+    flips = np.flatnonzero(np.diff(occupied, prepend=False, append=False))
+    lengths = (flips[1::2] - flips[::2]).tolist()
     if occupied[0] and occupied[m - 1]:
         lengths[-1] += lengths[0]
         lengths.pop(0)

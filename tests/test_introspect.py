@@ -5,6 +5,8 @@ from compacthash import (COUNT_MISMATCH, DUPLICATE_KEY, FREE, REACHABILITY_GAP,
                          SLOT_INCONSISTENT, CompactTable, TableParams, TombstoneTable,
                          check_invariants, probe_stats)
 
+import prefix_sum_checker
+
 
 def compact(capacity, step=1, keys=()):
     t = CompactTable(TableParams(capacity, step))
@@ -24,43 +26,50 @@ def kinds_at(report):
     return {(v.kind, v.slot_index) for v in report.violations}
 
 
+def check(table):
+    """check_invariants, also required to match the prefix-sum reference checker."""
+    report = check_invariants(table)
+    assert report.to_json_dict() == prefix_sum_checker.check_invariants(table).to_json_dict()
+    return report
+
+
 class TestCheckInvariants:
     def test_clean_tables_pass(self):
         t = compact(7, keys=[7, 14, 21])
         t.remove(14)
-        assert check_invariants(t).passed
+        assert check(t).passed
         tt = tombstone(7, keys=[7, 14, 21])
         tt.remove(14)
-        assert check_invariants(tt).passed
+        assert check(tt).passed
 
     def test_corrupted_probe_count_is_inconsistent(self):
         t = compact(7, keys=[7, 14])
         t._probe_counts[1] = 3  # key 14 claims slot (0 + 2) % 7 = 2
-        assert kinds_at(check_invariants(t)) == {(SLOT_INCONSISTENT, 1)}
+        assert kinds_at(check(t)) == {(SLOT_INCONSISTENT, 1)}
 
     def test_gap_in_probe_path(self):
         t = compact(7, keys=[1, 8])
         t._probe_counts[1] = 0  # empty the home of key 8 behind its back
         t._keys[1] = 0
         t._live = 1
-        assert kinds_at(check_invariants(t)) == {(REACHABILITY_GAP, 2)}
+        assert kinds_at(check(t)) == {(REACHABILITY_GAP, 2)}
 
     def test_live_count_mismatch(self):
         t = compact(7, keys=[7])
         t._live = 2
-        assert kinds_at(check_invariants(t)) == {(COUNT_MISMATCH, -1)}
+        assert kinds_at(check(t)) == {(COUNT_MISMATCH, -1)}
 
     def test_duplicate_key_detected(self):
         t = compact(7, keys=[7, 14, 21])
         t._keys[3] = 7  # second copy, consistently placed at probe 4
         t._probe_counts[3] = 4
         t._live = 4
-        assert kinds_at(check_invariants(t)) == {(DUPLICATE_KEY, 3)}
+        assert kinds_at(check(t)) == {(DUPLICATE_KEY, 3)}
 
     def test_probe_count_above_capacity(self):
         t = compact(7, keys=[7])
         t._probe_counts[0] = 9
-        report = check_invariants(t)
+        report = check(t)
         assert (SLOT_INCONSISTENT, 0) in kinds_at(report)
 
     def test_tombstone_free_slot_on_path(self):
@@ -68,19 +77,65 @@ class TestCheckInvariants:
         t.remove(7)
         t._states[0] = FREE  # resurrect the tombstone as FREE
         t._non_free -= 1
-        assert kinds_at(check_invariants(t)) == {(REACHABILITY_GAP, 1)}
+        assert kinds_at(check(t)) == {(REACHABILITY_GAP, 1)}
 
     def test_tombstone_counter_mismatch(self):
         t = tombstone(7, keys=[7])
         t._non_free = 0
-        assert kinds_at(check_invariants(t)) == {(COUNT_MISMATCH, -1)}
+        assert kinds_at(check(t)) == {(COUNT_MISMATCH, -1)}
 
     def test_violations_are_data_not_errors(self):
         t = compact(7, keys=[7])
         t._live = 3
-        report = check_invariants(t)
+        report = check(t)
         assert not report.passed and not bool(report)
         assert report.to_json_dict()["violations"]
+
+    def test_gap_whose_path_wraps_the_cycle(self):
+        # step 3 visits slots 0, 3, 6, 2, 5, 1, 4; keys homed at slot 1
+        # fill slots 1, 4, 0, 3, so the path of 22 wraps from slot 4 to 0
+        t = compact(7, 3, keys=[1, 8, 15, 22])
+        assert [tuple(t.slot(i)) for i in (1, 4, 0, 3)] == [(1, 1), (8, 2), (15, 3), (22, 4)]
+        for s in (4, 0):
+            t._probe_counts[s] = 0
+            t._keys[s] = 0
+        t._live = 2
+        assert check(t).to_json_dict()["violations"] == [
+            {"slot_index": 3, "kind": REACHABILITY_GAP,
+             "detail": "key 22 at slot 3: only 1 of 3 path slots busy"}]
+
+    def test_tombstone_gap_whose_path_wraps_the_cycle(self):
+        t = tombstone(7, 3, keys=[1, 8, 15, 22])
+        t.remove(8)
+        t.remove(15)
+        for s in (4, 0):
+            t._states[s] = FREE
+        t._non_free -= 2
+        assert check(t).to_json_dict()["violations"] == [
+            {"slot_index": 3, "kind": REACHABILITY_GAP,
+             "detail": "key 22 at slot 3: 2 FREE slot(s) on its probe path"}]
+
+    def test_gap_on_a_path_as_long_as_the_occupied_count(self):
+        # as above with only slot 4 emptied: three slots stay occupied and
+        # the path of 22 is three slots long
+        t = compact(7, 3, keys=[1, 8, 15, 22])
+        t._probe_counts[4] = 0
+        t._keys[4] = 0
+        t._live = 3
+        assert check(t).to_json_dict()["violations"] == [
+            {"slot_index": 0, "kind": REACHABILITY_GAP,
+             "detail": "key 15 at slot 0: only 1 of 2 path slots busy"},
+            {"slot_index": 3, "kind": REACHABILITY_GAP,
+             "detail": "key 22 at slot 3: only 2 of 3 path slots busy"}]
+        tt = tombstone(7, 3, keys=[1, 8, 15, 22])
+        tt.remove(8)
+        tt._states[4] = FREE
+        tt._non_free -= 1
+        assert check(tt).to_json_dict()["violations"] == [
+            {"slot_index": 0, "kind": REACHABILITY_GAP,
+             "detail": "key 15 at slot 0: 1 FREE slot(s) on its probe path"},
+            {"slot_index": 3, "kind": REACHABILITY_GAP,
+             "detail": "key 22 at slot 3: 1 FREE slot(s) on its probe path"}]
 
 
 class TestProbeStats:
