@@ -1,6 +1,6 @@
 """Wall time per call of the verification layer: check_invariants and probe_stats.
 
-    PYTHONPATH=src python bench/perf.py --label change --out BENCH_4.json --baseline parent
+    PYTHONPATH=src python bench/perf.py --label change --out BENCH_4.json
 
 builds a grid of 65,536-slot tables and times both calls on each: both
 table kinds at loads 0.02, 0.25, 0.5 and 0.9 at steps 1 and 3, plus a
@@ -13,8 +13,8 @@ Each run is added to --out under --label, beside the runs already there,
 so running the script once with another checkout's src on PYTHONPATH
 (--label parent) and once with this one's puts both in one file. After
 each run the file's summary is rebuilt: per label and grid point, the
-median over that label's runs, and with --baseline, the baseline's
-median divided by each other label's.
+median over that label's runs, and once a run labelled "parent" is in
+the file, the parent's median divided by each other label's.
 """
 
 import argparse
@@ -34,6 +34,7 @@ LOADS = (0.02, 0.25, 0.5, 0.9)
 STEPS = (1, 3)
 SATURATED_LOAD = 0.02
 CALLS = 41  # timed calls per grid point
+BASELINE = "parent"  # label the summary divides every other label by
 
 
 def _keys(seed: int, count: int) -> list[int]:
@@ -93,7 +94,7 @@ def run() -> dict:
     return rows
 
 
-def summarize(doc: dict, baseline: str | None) -> dict:
+def summarize(doc: dict) -> dict:
     medians: dict[str, dict] = {}
     for label in dict.fromkeys(r["label"] for r in doc["runs"]):
         runs = [r["rows"] for r in doc["runs"] if r["label"] == label]
@@ -103,12 +104,12 @@ def summarize(doc: dict, baseline: str | None) -> dict:
             for point in runs[0]
         }
     summary = {"median_ms": medians}
-    if baseline in medians:
-        summary[f"{baseline}_over"] = {
-            label: {point: {metric: round(medians[baseline][point][metric] / value, 2)
+    if BASELINE in medians:
+        summary[f"{BASELINE}_over"] = {
+            label: {point: {metric: round(medians[BASELINE][point][metric] / value, 2)
                             for metric, value in figures.items()}
                     for point, figures in per_point.items()}
-            for label, per_point in medians.items() if label != baseline
+            for label, per_point in medians.items() if label != BASELINE
         }
     return summary
 
@@ -117,7 +118,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="name this run is filed under, e.g. parent or change")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to add this run to")
-    ap.add_argument("--baseline", help="label the summary divides every other label by")
     args = ap.parse_args()
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
@@ -125,7 +125,7 @@ def main() -> None:
     doc["host"] = {"python": platform.python_version(), "numpy": np.__version__,
                    "machine": platform.machine(), "cpus": os.cpu_count()}
     doc["runs"].append({"label": args.label, "rows": run()})
-    doc["summary"] = summarize(doc, args.baseline)
+    doc["summary"] = summarize(doc)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
 
