@@ -13,11 +13,11 @@ from .errors import (CapacityTooSmallError, CompactHashError, EmptyKeyUniverseEr
                      TableFullError, TraceParseError, ZeroCapacityError)
 from .harness import (ADD, CONTAINS, GENERATOR_ID, REMOVE, Divergence, InvariantFailure,
                       OpRecord, SplitMix64, Verdict, WorkloadSpec, format_trace,
-                      generate_workload, model_apply, parse_trace, run_differential)
+                      generate_workload, parse_trace, run_differential)
 from .introspect import (COUNT_MISMATCH, DUPLICATE_KEY, REACHABILITY_GAP,
                          SLOT_INCONSISTENT, ProbeStats, Violation, ViolationReport,
                          check_invariants, probe_stats)
-from .probing import TableParams, hash_index, probe_slot, validate_params
+from .probing import TableParams, validate_params
 from .tombstone import BUSY, DELETED, FREE, TombstoneSlot, TombstoneTable
 
 __version__ = "0.1.0"
@@ -31,6 +31,5 @@ __all__ = [
     "TableFullError", "TableParams", "TombstoneSlot", "TombstoneTable",
     "TraceParseError", "Verdict", "Violation", "ViolationReport", "WorkloadSpec",
     "ZeroCapacityError", "check_invariants", "format_trace", "generate_workload",
-    "hash_index", "model_apply", "parse_trace", "probe_slot",
-    "probe_stats", "run_differential", "validate_params",
+    "parse_trace", "probe_stats", "run_differential", "validate_params",
 ]

@@ -25,20 +25,14 @@ class Slot(NamedTuple):
 class CompactTable(OpenAddressTable):
     """Integer set with open addressing and compaction-based deletion.
 
-    The growth threshold applies to the live count. The compress_enabled
-    hook exists for the differential harness to demonstrate divergence
-    detection; leave it True for correct behavior.
+    The growth threshold applies to the live count.
     """
 
-    __slots__ = ("_probe_counts", "_compress_enabled")
+    __slots__ = ("_probe_counts",)
 
-    def __init__(self, params: TableParams, *, compress_enabled: bool = True):
+    def __init__(self, params: TableParams):
         super().__init__(params)
         self._probe_counts = array("q", bytes(8 * params.capacity))
-        self._compress_enabled = compress_enabled
-
-    def _empty(self, params: TableParams) -> "CompactTable":
-        return CompactTable(params, compress_enabled=self._compress_enabled)
 
     def _growth_count(self) -> int:
         return self._live
@@ -118,10 +112,7 @@ class CompactTable(OpenAddressTable):
                 pc[i] = 0
                 keys[i] = 0
                 self._live -= 1
-                if self._compress_enabled:
-                    scanned, moved = self._compress(i)
-                else:
-                    scanned, moved = 0, 0
+                scanned, moved = self._compress(i)
                 return True, j, scanned, moved
             i += step
             if i >= m:
@@ -129,20 +120,17 @@ class CompactTable(OpenAddressTable):
             j += 1
         return False, j, 0, 0
 
-    def compress(self, free_index: int) -> None:
-        """Repair probe chains after slot free_index was emptied.
+    def _compress(self, free: int) -> tuple[int, int]:
+        """Repair probe chains after slot free was emptied.
 
         Scans forward by the probe step; an entry at offset off from the
         current free slot can be pulled back exactly when its probe count
         exceeds off (it skipped at least the free slot when it was
         placed). Relocated entries keep their key and shrink their probe
-        count by the offset moved.
+        count by the offset moved. Returns (slots scanned, relocations).
         """
-        self._compress(free_index)
-
-    def _compress(self, free: int) -> tuple[int, int]:
         m = self._capacity
-        step = self._step % m  # capacity 1 allows step >= capacity
+        step = self._step
         pc = self._probe_counts
         keys = self._keys
         i = free + step

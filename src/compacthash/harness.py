@@ -97,23 +97,6 @@ class LiveKeys:
                 self.index[last] = at
 
 
-def model_apply(model: set, op: OpRecord) -> bool:
-    """Apply op to the reference set, returning what a table must return."""
-    if op.kind == ADD:
-        if op.key in model:
-            return False
-        model.add(op.key)
-        return True
-    if op.kind == CONTAINS:
-        return op.key in model
-    if op.kind == REMOVE:
-        if op.key in model:
-            model.remove(op.key)
-            return True
-        return False
-    raise ValueError(f"unknown op kind {op.kind!r}")
-
-
 def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
     """Expand spec into its operation sequence.
 
@@ -224,8 +207,7 @@ class Verdict:
         }
 
 
-def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: int = 1,
-                     *, compress_enabled: bool = True) -> Verdict:
+def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: int = 1) -> Verdict:
     """Apply ops to both tables and the set oracle, comparing every result.
 
     Stops at the first return-value disagreement and records it; a
@@ -237,7 +219,7 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
     validate_params(params)
     if check_every < 1:
         raise ValueError(f"check_every must be positive, got {check_every}")
-    compact = CompactTable(params, compress_enabled=compress_enabled)
+    compact = CompactTable(params)
     tombstone = TombstoneTable(params)
     model: set[int] = set()
     failures: list[InvariantFailure] = []

@@ -1,7 +1,8 @@
-"""Hashing, probe-sequence arithmetic and the core both tables share.
+"""Table parameters and the core both tables share.
 
-The functions here are pure; a :class:`TableParams` instance is immutable
-and safe to share between threads and tables.
+A :class:`TableParams` instance is immutable and safe to share between
+threads and tables. A key's home slot is key % capacity, computed inline
+by every probe loop; Python's % is total over the signed 64-bit range.
 
 :class:`OpenAddressTable` is everything CompactTable and TombstoneTable
 have in common: the key array and live count, the accessors, the growth
@@ -61,33 +62,18 @@ def validate_params(params: TableParams) -> TableParams:
     return params
 
 
-def hash_index(key: int, capacity: int) -> int:
-    """Home slot of key: the nonnegative remainder of key modulo capacity.
-
-    Python's % already returns a result in [0, capacity) for positive
-    divisors, so this is total over the full signed 64-bit range (taking
-    abs() first would overflow on the minimum value in fixed-width
-    languages and is avoided on purpose).
-    """
-    return key % capacity
-
-
-def probe_slot(key: int, j: int, params: TableParams) -> int:
-    """Slot examined on the j-th probe for key (j = 0 is the home slot)."""
-    return (key % params.capacity + params.step * j) % params.capacity
-
-
 class OpenAddressTable:
     """Integer set over capacity slots probed (home + step * j) mod capacity.
 
     Keys are signed 64-bit integers. At least one slot is always kept
-    empty so that every probe loop terminates. A subclass supplies:
+    empty so that every probe loop terminates. A subclass takes params as
+    its only constructor argument (rehash builds type(self)(new_params))
+    and supplies:
 
     - contains_counted(key) -> (found, slots examined);
     - remove_counted(key) -> a tuple whose first item is "removed";
     - _place_insert(key) -> (added, slots examined), without growth;
     - _growth_count(), the slot count the growth threshold applies to;
-    - _empty(params), a fresh empty table of the same kind;
     - keys(), yielding the stored keys in ascending slot order.
 
     Instances are single-writer: no call is safe concurrently with a
@@ -172,7 +158,7 @@ class OpenAddressTable:
         if new_params.capacity - 1 < self._live:
             raise CapacityTooSmallError(
                 f"capacity {new_params.capacity} cannot hold {self._live} keys plus an empty slot")
-        fresh = self._empty(new_params)
+        fresh = type(self)(new_params)
         for key in self.keys():
             fresh._place_insert(key)
         return fresh

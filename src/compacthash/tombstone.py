@@ -53,9 +53,6 @@ class TombstoneTable(OpenAddressTable):
         # read only at non-FREE slots, each set when its slot stops being FREE
         self._next_free = array("q", bytes(8 * params.capacity))
 
-    def _empty(self, params: TableParams) -> "TombstoneTable":
-        return TombstoneTable(params)
-
     def _growth_count(self) -> int:
         return self._non_free
 
@@ -84,6 +81,7 @@ class TombstoneTable(OpenAddressTable):
     # -- membership ----------------------------------------------------
 
     def contains_counted(self, key: int) -> tuple[bool, int]:
+        """Like contains, also returning the slots examined, terminator or hit included."""
         m = self._capacity
         step = self._step
         st = self._states
@@ -100,10 +98,6 @@ class TombstoneTable(OpenAddressTable):
             if i >= m:
                 i -= m
             n += 1
-
-    def probe_cost(self, key: int) -> int:
-        """Slots a lookup of key examines, terminator or hit included."""
-        return self.contains_counted(key)[1]
 
     # -- insertion ------------------------------------------------------
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from compacthash import parse_trace
+from compacthash import CompactTable, parse_trace
 from compacthash.cli import main
 
 
@@ -21,10 +21,11 @@ class TestFuzz:
         assert out.count(": ok") == 3
         assert not list(tmp_path.iterdir())  # artifacts only on failure
 
-    def test_disabled_compression_fails_with_artifacts(self, capsys, tmp_path):
+    def test_disabled_compression_fails_with_artifacts(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(CompactTable, "_compress", lambda self, free: (0, 0))
         code, out, _ = run(capsys, "fuzz", "--seed-count", "5", "--capacity", "257",
                            "--ops", "2000", "--check-every", "1", "--universe", "0:280",
-                           "--out-dir", str(tmp_path), "--no-compress")
+                           "--out-dir", str(tmp_path))
         assert code == 1
         assert "FAIL" in out
         traces = list(tmp_path.glob("*.trace"))
@@ -156,6 +157,9 @@ class TestBench:
     (("trace", "{path}"), "# capacity=abc\na 1\n"),
     (("trace", "{path}"), "# capacity=7 step=abc\na 1\n"),
     (("trace", "{path}", "--capacity", "7"), f"a 1\na {2**63}\n"),
+    (("trace", "{path}", "--capacity", "3", "--table", "compact"), "a 0\na 1\na 2\n"),
+    (("trace", "{path}", "--capacity", "3", "--table", "tombstone"), "a 0\na 1\na 2\n"),
+    (("trace", "{path}", "--capacity", "7"), b"\xff\xfe"),
     (("fuzz", "--ops", "0"), None),
     (("fuzz", "--check-every", "0"), None),
     (("fuzz", "--seed-count", "0"), None),
@@ -163,12 +167,15 @@ class TestBench:
     (("bench", "--batch", "-1"), None),
     (("bench", "--rounds", "-1"), None),
     (("bench", "--batch", "-1", "--adversarial"), None),
-], ids=["capacity-header", "step-header", "key-2^63", "fuzz-ops-0", "fuzz-check-every-0",
+], ids=["capacity-header", "step-header", "key-2^63", "trace-overfull-compact",
+        "trace-overfull-tombstone", "trace-not-utf8", "fuzz-ops-0", "fuzz-check-every-0",
         "fuzz-seed-count-0", "fuzz-seed-count-neg", "bench-batch-neg", "bench-rounds-neg",
         "adversarial-batch-neg"])
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, trace_text):
     path = tmp_path / "ops.trace"
-    if trace_text is not None:
+    if isinstance(trace_text, bytes):
+        path.write_bytes(trace_text)
+    elif trace_text is not None:
         path.write_text(trace_text)
     code, out, err = run(capsys, *(a.format(path=path) for a in argv))
     assert code == 2

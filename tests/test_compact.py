@@ -111,15 +111,17 @@ class TestRemove:
 
 
 class TestCompress:
+    # compaction runs inside remove, on the slot the removed key freed;
+    # remove_counted reports (removed, find, scanned, relocations)
+
     def test_no_move_when_probe_count_equals_offset(self):
-        t = build(7, keys=[1])
-        before = t.state_bytes()
-        t.compress(0)
-        assert t.state_bytes() == before
+        t = build(7, keys=[0, 1])
+        assert t.remove_counted(0) == (True, 1, 2, 0)
+        assert t.state_bytes() == build(7, keys=[1]).state_bytes()
 
     def test_terminates_immediately_on_empty_neighbor(self):
-        t = build(7)
-        t.compress(3)
+        t = build(7, keys=[3])
+        assert t.remove_counted(3) == (True, 1, 1, 0)
         assert occupied(t) == []
 
     def test_scan_steps_by_probe_step(self):
@@ -183,13 +185,14 @@ class TestGrowth:
 
 class TestCapacityOne:
     def test_holds_nothing_but_terminates(self):
-        t = build(1)
-        assert not t.contains(5)
-        assert not t.remove(5)
-        with pytest.raises(TableFullError):
-            t.insert(5)
-        t.compress(0)
-        assert len(t) == 0
+        for step in (1, 5):  # capacity 1 admits a step >= capacity
+            t = build(1, step=step)
+            assert t.contains_counted(5) == (False, 1)
+            assert t.remove_counted(5) == (False, 1, 0, 0)
+            with pytest.raises(TableFullError):
+                t.insert(5)
+            assert len(t) == 0
+            assert t.state_bytes() == build(1).state_bytes()
 
 
 class TestAccessors:

@@ -3,28 +3,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compacthash import (ADD, CONTAINS, REMOVE, EmptyKeyUniverseError, OpRecord,
-                         TableParams, TraceParseError, WorkloadSpec, format_trace,
-                         generate_workload, model_apply, parse_trace,
-                         run_differential)
-
-
-class TestModelApply:
-    def test_add(self):
-        model = set()
-        assert model_apply(model, OpRecord(ADD, 5))
-        assert model == {5}
-        assert not model_apply(model, OpRecord(ADD, 5))
-
-    def test_contains(self):
-        assert not model_apply(set(), OpRecord(CONTAINS, 5))
-        assert model_apply({5}, OpRecord(CONTAINS, 5))
-
-    def test_remove(self):
-        model = {5}
-        assert model_apply(model, OpRecord(REMOVE, 5))
-        assert model == set()
-        assert not model_apply(model, OpRecord(REMOVE, 5))
+from compacthash import (ADD, CONTAINS, REMOVE, CompactTable, EmptyKeyUniverseError,
+                         OpRecord, TableParams, TraceParseError, WorkloadSpec, format_trace,
+                         generate_workload, parse_trace, run_differential)
 
 
 class TestGenerateWorkload:
@@ -69,11 +50,17 @@ class TestGenerateWorkload:
     def test_churn_removes_hit_live_keys_and_adds_are_fresh(self):
         spec = WorkloadSpec(seed=6, op_count=60, key_universe=(0, 500),
                             mix=(1, 0, 0), churn_rounds=4, churn_batch=8)
-        model = set()
+        live = set()
         for i, op in enumerate(generate_workload(spec)):
-            result = model_apply(model, op)
+            if op.kind == ADD:
+                hit = op.key not in live
+                live.add(op.key)
+            else:
+                assert op.kind == REMOVE  # the mix draws no lookups
+                hit = op.key in live
+                live.discard(op.key)
             if i >= 60:
-                assert result, f"churn op {i} missed: {op}"
+                assert hit, f"churn op {i} missed: {op}"
 
 
 class TestRunDifferential:
@@ -91,9 +78,11 @@ class TestRunDifferential:
         assert verdict.passed
         assert verdict.invariant_failures == []
 
-    def test_disabled_compression_is_caught(self):
+    def test_disabled_compression_is_caught(self, monkeypatch):
+        # a remove that skips compaction breaks the probe chain through its slot
+        monkeypatch.setattr(CompactTable, "_compress", lambda self, free: (0, 0))
         ops = [OpRecord(ADD, 7), OpRecord(ADD, 14), OpRecord(REMOVE, 7), OpRecord(CONTAINS, 14)]
-        verdict = run_differential(ops, TableParams(7, 1), check_every=1, compress_enabled=False)
+        verdict = run_differential(ops, TableParams(7, 1), check_every=1)
         assert not verdict.passed
         # the displaced key is invisible to the compact table
         d = verdict.first_divergence
@@ -122,9 +111,10 @@ class TestRunDifferential:
         b = run_differential(ops, TableParams(127, 3), check_every=100)
         assert a == b
 
-    def test_verdict_json_shape(self):
+    def test_verdict_json_shape(self, monkeypatch):
+        monkeypatch.setattr(CompactTable, "_compress", lambda self, free: (0, 0))
         ops = [OpRecord(ADD, 7), OpRecord(ADD, 14), OpRecord(REMOVE, 7), OpRecord(CONTAINS, 14)]
-        verdict = run_differential(ops, TableParams(7, 1), compress_enabled=False)
+        verdict = run_differential(ops, TableParams(7, 1))
         payload = json.loads(json.dumps(verdict.to_json_dict()))
         assert payload["passed"] is False
         assert payload["first_divergence"]["op"] == {"kind": "contains", "key": 14}

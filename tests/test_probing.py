@@ -3,53 +3,77 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compacthash import (CompactTable, KeyOutOfRangeError, StepNotCoprimeError,
+from compacthash import (BUSY, CompactTable, KeyOutOfRangeError, StepNotCoprimeError,
                          StepOutOfRangeError, TableFullError, TableParams, TombstoneTable,
-                         ZeroCapacityError, hash_index, probe_slot, validate_params)
+                         ZeroCapacityError, validate_params)
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
 
 
+def assert_home(key, capacity, index):
+    """An insert into an empty table lands on its first probe at index."""
+    for cls, mark in ((CompactTable, 1), (TombstoneTable, BUSY)):
+        table = cls(TableParams(capacity, 1))
+        assert table.insert_counted(key) == (True, 1)
+        assert table.slot(index) == (key, mark)
+
+
+def probe_path(key, params, length):
+    """Slots of the first length probes of key, read off a chain of keys
+    sharing key's home: the j-th of them lands on the j-th probe slot."""
+    table = CompactTable(params)
+    path = []
+    for j in range(length):
+        k = key + j * params.capacity
+        assert table.insert_counted(k) == (True, j + 1)
+        path.append(next(i for i in range(params.capacity) if table.slot(i) == (k, j + 1)))
+    return path
+
+
 def test_hash_index_examples():
-    assert hash_index(42, 1_000_000) == 42
-    assert hash_index(-3, 7) == 4
-    assert hash_index(7, 7) == 0
+    assert_home(42, 1_000_000, 42)
+    assert_home(-3, 7, 4)
+    assert_home(7, 7, 0)
 
 
 def test_hash_index_extremes():
     # abs()-based hashing would overflow on I64_MIN in fixed-width languages
-    assert 0 <= hash_index(I64_MIN, 7) < 7
-    assert hash_index(I64_MIN, 2) == 0
-    assert hash_index(I64_MAX, 2) == 1
-    assert hash_index(-1, 1_000_000) == 999_999
+    assert_home(I64_MIN, 7, 6)
+    assert_home(I64_MIN, 2, 0)
+    assert_home(I64_MAX, 2, 1)
+    assert_home(-1, 1_000_000, 999_999)
 
 
-@given(st.integers(I64_MIN, I64_MAX), st.integers(1, 10_000))
+@settings(deadline=None)
+@given(st.integers(I64_MIN, I64_MAX), st.integers(2, 10_000))
 def test_hash_index_always_in_range(key, capacity):
-    assert 0 <= hash_index(key, capacity) < capacity
+    assert_home(key, capacity, key % capacity)
 
 
 def test_probe_slot_examples():
-    assert probe_slot(3, 0, TableParams(7, 1)) == 3
-    assert probe_slot(7, 2, TableParams(7, 1)) == 2
-    assert probe_slot(6, 3, TableParams(7, 3)) == 1
+    assert probe_path(3, TableParams(7, 1), 1) == [3]
+    assert probe_path(7, TableParams(7, 1), 3) == [0, 1, 2]
+    assert probe_path(6, TableParams(7, 3), 4) == [6, 2, 5, 1]
 
 
-@given(st.integers(I64_MIN, I64_MAX), st.integers(1, 200))
+@settings(deadline=None)
+@given(st.integers(I64_MIN, I64_MAX), st.integers(2, 200))
 def test_zeroth_probe_is_home_slot(key, capacity):
-    assert probe_slot(key, 0, TableParams(capacity, 1)) == hash_index(key, capacity)
+    assert probe_path(key, TableParams(capacity, 1), 1) == [key % capacity]
 
 
 def test_full_cycle_property_exhaustive():
-    # every key's probe sequence visits every slot exactly once per cycle
+    # m - 1 keys sharing one home take m - 1 distinct slots on probes
+    # 1..m - 1 (home + step * j), so a probe sequence reaches every slot
+    # but the one kept empty
     for m in range(1, 33):
         steps = [c for c in range(1, max(2, m)) if gcd(c, m) == 1]
         for c in steps:
-            params = TableParams(m, c)
             for key in (-5, -1, 0, 1, 3, m - 1, m, 2 * m + 1):
-                seen = {probe_slot(key, j, params) for j in range(m)}
-                assert seen == set(range(m)), (m, c, key)
+                path = probe_path(key, TableParams(m, c), m - 1)
+                assert path == [(key + c * j) % m for j in range(m - 1)], (m, c, key)
+                assert len(set(path)) == m - 1, (m, c, key)
 
 
 def test_validate_params_accepts_coprime():

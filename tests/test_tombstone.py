@@ -65,8 +65,8 @@ class WalkingReference:
         self.live += 1
         return True, n
 
-    def contains(self, key):
-        return self._walk(key)[2]
+    def contains_counted(self, key):
+        return self._walk(key)[2:]
 
     def remove(self, key):
         i, _, found, _ = self._walk(key)
@@ -76,9 +76,6 @@ class WalkingReference:
         self.keys[i] = 0
         self.live -= 1
         return True
-
-    def probe_cost(self, key):
-        return self._walk(key)[3]
 
     def state_bytes(self):
         import array
@@ -166,10 +163,10 @@ class TestRemove:
 
 class TestProbeCost:
     def test_empty_table_costs_one(self):
-        assert build(7).probe_cost(3) == 1
+        assert build(7).contains_counted(3) == (False, 1)
 
     def test_hit_at_home_costs_one(self):
-        assert build(7, keys=[7]).probe_cost(7) == 1
+        assert build(7, keys=[7]).contains_counted(7) == (True, 1)
 
     def test_deleted_run_must_be_walked(self):
         t = build(2100)
@@ -177,13 +174,13 @@ class TestProbeCost:
             t.insert(i * 2100)
         for i in range(1000):
             t.remove(i * 2100)
-        assert t.probe_cost(1000 * 2100) == 1001
+        assert t.contains_counted(1000 * 2100) == (False, 1001)
 
     def test_tombstone_counts_in_path(self):
         t = build(7, keys=[7, 14])
         t.remove(7)
-        assert t.probe_cost(14) == 2
-        assert t.probe_cost(21) == 3
+        assert t.contains_counted(14) == (True, 2)
+        assert t.contains_counted(21) == (False, 3)
 
 
 class TestGrowthAndRehash:
@@ -252,8 +249,7 @@ def test_matches_walking_reference_exactly(ops, shape):
             assert got is expected
             assert n == ref_n
         elif kind == "c":
-            assert t.contains(key) is ref.contains(key)
-            assert t.probe_cost(key) == ref.probe_cost(key)
+            assert t.contains_counted(key) == ref.contains_counted(key)
         else:
             assert t.remove(key) is ref.remove(key)
         assert t.state_bytes() == ref.state_bytes()
