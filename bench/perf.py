@@ -1,13 +1,19 @@
-"""Wall time per call of the verification layer: check_invariants and probe_stats.
+"""Wall time of the verification layer and the workload generation layer.
 
-    PYTHONPATH=src python bench/perf.py --label change --out BENCH_4.json
+    PYTHONPATH=src python bench/perf.py --label change --out BENCH_6.json
 
-builds a grid of 65,536-slot tables and times both calls on each: both
-table kinds at loads 0.02, 0.25, 0.5 and 0.9 at steps 1 and 3, plus a
-saturated tombstone table: every slot but one non-FREE, keys at load
-0.02 only. Each figure is the median of 41 calls after one untimed
-call. The tables are the same on every run: keys come from a seeded
-generator.
+builds a grid of 65,536-slot tables and times check_invariants and
+probe_stats on each: both table kinds at loads 0.02, 0.25, 0.5 and 0.9
+at steps 1 and 3, plus a saturated tombstone table: every slot but one
+non-FREE, keys at load 0.02 only. Each figure is the median of 41 calls
+after one untimed call. The tables are the same on every run: keys come
+from a seeded generator.
+
+The generation layer is timed as seconds of generate_workload per
+100,000 ops, for the fuzz-bulk spec (100,000 base ops) and for a spec
+whose churn rounds make up half its ops, and as nanoseconds per
+SplitMix64.next_u64 draw over 200,000 draws. Each figure is the median
+of 11 runs after one untimed run.
 
 Each run is added to --out under --label, beside the runs already there,
 so running the script once with another checkout's src on PYTHONPATH
@@ -27,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from compacthash import CompactTable, TableParams, TombstoneTable, check_invariants, probe_stats
+from compacthash import (CompactTable, SplitMix64, TableParams, TombstoneTable, WorkloadSpec,
+                         check_invariants, generate_workload, probe_stats)
 
 CAPACITY = 1 << 16
 LOADS = (0.02, 0.25, 0.5, 0.9)
@@ -35,6 +42,15 @@ STEPS = (1, 3)
 SATURATED_LOAD = 0.02
 CALLS = 41  # timed calls per grid point
 BASELINE = "parent"  # label the summary divides every other label by
+GEN_RUNS = 11  # timed runs per generation figure
+MIX = (0.45, 0.35, 0.20)
+UNIVERSE = (0, 2 * CAPACITY)
+GEN_SPECS = {
+    "generate_workload/fuzz-bulk": WorkloadSpec(0, 100_000, UNIVERSE, MIX),
+    "generate_workload/churn": WorkloadSpec(0, 50_000, UNIVERSE, MIX, churn_rounds=50, churn_batch=500),
+}
+DRAWS = 200_000
+TIMINGS = ("check_invariants_ms", "probe_stats_ms", "s_per_100k_ops", "ns_per_draw")
 
 
 def _keys(seed: int, count: int) -> list[int]:
@@ -68,14 +84,35 @@ def grid():
         yield f"tombstone-saturated/step{step}/load{SATURATED_LOAD}", lambda s=step: _saturated(s)
 
 
-def median_ms(fn, table) -> float:
-    fn(table)
+def median_s(fn, runs: int) -> float:
+    """Median wall time of runs calls of fn, after one untimed call."""
+    fn()
     times = []
-    for _ in range(CALLS):
+    for _ in range(runs):
         t0 = time.perf_counter()
-        fn(table)
+        fn()
         times.append(time.perf_counter() - t0)
-    return round(statistics.median(times) * 1e3, 4)
+    return statistics.median(times)
+
+
+def median_ms(fn, table) -> float:
+    return round(median_s(lambda: fn(table), CALLS) * 1e3, 4)
+
+
+def _draw_all() -> None:
+    next_u64 = SplitMix64(0).next_u64
+    for _ in range(DRAWS):
+        next_u64()
+
+
+def generation_rows() -> dict:
+    rows = {}
+    for point, spec in GEN_SPECS.items():
+        ops = len(generate_workload(spec))
+        rows[point] = {"ops": ops,
+                       "s_per_100k_ops": round(median_s(lambda: generate_workload(spec), GEN_RUNS) * 1e5 / ops, 4)}
+    rows["splitmix64/next_u64"] = {"draws": DRAWS, "ns_per_draw": round(median_s(_draw_all, GEN_RUNS) * 1e9 / DRAWS, 1)}
+    return rows
 
 
 def run() -> dict:
@@ -91,6 +128,9 @@ def run() -> dict:
             "probe_stats_ms": median_ms(probe_stats, t),
         }
         print(point, rows[point], flush=True)
+    for point, row in generation_rows().items():
+        rows[point] = row
+        print(point, row, flush=True)
     return rows
 
 
@@ -100,10 +140,10 @@ def summarize(doc: dict) -> dict:
         runs = [r["rows"] for r in doc["runs"] if r["label"] == label]
         medians[label] = {
             point: {metric: round(statistics.median(rows[point][metric] for rows in runs), 4)
-                    for metric in ("check_invariants_ms", "probe_stats_ms")}
+                    for metric in TIMINGS if metric in runs[0][point]}
             for point in runs[0]
         }
-    summary = {"median_ms": medians}
+    summary = {"median": medians}
     if BASELINE in medians:
         summary[f"{BASELINE}_over"] = {
             label: {point: {metric: round(medians[BASELINE][point][metric] / value, 2)

@@ -1,15 +1,22 @@
 """Workload generation and differential execution against a set oracle.
 
-A workload is a deterministic function of its spec: the generator is a
-sequential splitmix64 stream (the identity recorded in trace headers),
-so identical specs yield identical operation sequences forever. The
-differential runner applies every operation to a compact table, a
+A workload is a deterministic function of its spec. The generator is
+splitmix64 (the identity recorded in trace headers), which is
+counter-based: draw i of the stream seeded with s is a fixed mixing
+function of s + i * gamma mod 2**64. A block of draws is therefore one
+wrapping numpy uint64 expression; the base phase of a workload is
+computed whole, and SplitMix64 hands out further draws from blocks it
+refills. Identical specs yield identical operation sequences forever.
+The differential runner applies every operation to a compact table, a
 tombstone table, and a plain Python set, comparing all three return
 values and periodically running the structural invariant checker.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain, count, repeat
 from typing import Iterable, NamedTuple, Optional, Union
+
+import numpy as np
 
 from .compact import CompactTable
 from .errors import EmptyKeyUniverseError, TableFullError, TraceParseError
@@ -24,6 +31,11 @@ REMOVE = "remove"
 GENERATOR_ID = "splitmix64"
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_BLOCK = 4096  # draws per SplitMix64 refill and per base-phase step; even
+_KINDS = np.array([ADD, CONTAINS, REMOVE], dtype=object)
 _KIND_TO_CHAR = {ADD: "a", CONTAINS: "c", REMOVE: "r"}
 _CHAR_TO_KIND = {"a": ADD, "c": CONTAINS, "r": REMOVE}
 
@@ -53,20 +65,34 @@ class WorkloadSpec:
     churn_batch: int = 1
 
 
-class SplitMix64:
-    """Sequential splitmix64 stream; stable across platforms and versions."""
+def _draws(seed: int, start: int, n: int) -> np.ndarray:
+    """Draws start .. start + n - 1 (counting from 0) of SplitMix64(seed)."""
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
-    __slots__ = ("_state",)
+
+class SplitMix64:
+    """The splitmix64 stream; stable across platforms and versions.
+
+    next_u64() returns the next draw as a Python int in [0, 2**64). Draws
+    are computed 4,096 at a time and handed out without a Python frame
+    per draw. Draw i depends only on the seed and i, so
+    SplitMix64((seed + i * 0x9E3779B97F4A7C15) % 2**64) continues the
+    stream of SplitMix64(seed) after its first i draws.
+    """
+
+    __slots__ = ("next_u64",)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        blocks = map(_draws, repeat(seed), count(0, _BLOCK), repeat(_BLOCK))
+        self.next_u64 = chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
 
 
 class LiveKeys:
@@ -100,8 +126,9 @@ class LiveKeys:
 def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
     """Expand spec into its operation sequence.
 
-    Churn-round removals target keys that are live at that point of the
-    sequence (tracked by replaying set semantics during generation), so
+    Base op i takes draws 2i (its kind, against the mix thresholds) and
+    2i + 1 (its key). Churn-round removals target keys that are live at
+    that point of the sequence (tracked by replaying set semantics), so
     churn genuinely exercises deletion; churn additions draw until they
     find a key that is not currently live.
     """
@@ -119,27 +146,38 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
     total = w_add + w_contains + w_remove
     t_add = int(w_add / total * 2**64)
     t_contains = t_add + int(w_contains / total * 2**64)
+    # a draw's kind code 0/1/2 (add/contains/remove) counts the thresholds
+    # it reaches; one of 2**64 or a little more (an all-add mix, float
+    # rounding) no draw reaches
+    thresholds = [np.uint64(t) for t in (t_add, t_contains) if t <= _MASK64]
     span = hi - lo
 
-    rng = SplitMix64(spec.seed)
-    next_u64 = rng.next_u64
+    # the base phase goes a block of draws at a time, so its arrays and
+    # intermediate lists stay small beside the op list
+    n = spec.op_count
     ops: list[OpRecord] = []
+    for start in range(0, 2 * n, _BLOCK):
+        draws = _draws(spec.seed, start, min(_BLOCK, 2 * n - start))
+        u, k = draws[0::2], draws[1::2]
+        code = np.zeros(len(u), np.intp)
+        for t in thresholds:
+            code += u >= t
+        offsets = k % np.uint64(span) if span <= _MASK64 else k
+        keys = map(lo.__add__, offsets.tolist())
+        ops += map(tuple.__new__, repeat(OpRecord), zip(_KINDS[code].tolist(), keys))
+    if not spec.churn_rounds:
+        return ops
+
     live = LiveKeys()
     live_list, live_index = live.keys, live.index
     track_add, track_remove = live.add, live.discard
-
-    for _ in range(spec.op_count):
-        u = next_u64()
-        key = lo + next_u64() % span
-        if u < t_add:
-            ops.append(OpRecord(ADD, key))
+    for kind, key in ops:
+        if kind == ADD:
             track_add(key)
-        elif u < t_contains:
-            ops.append(OpRecord(CONTAINS, key))
-        else:
-            ops.append(OpRecord(REMOVE, key))
+        elif kind == REMOVE:
             track_remove(key)
 
+    next_u64 = SplitMix64(spec.seed + 2 * n * int(_GAMMA)).next_u64
     for _ in range(spec.churn_rounds):
         for _ in range(spec.churn_batch):
             if live_list:

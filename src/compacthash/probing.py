@@ -25,6 +25,13 @@ DEFAULT_CAPACITY = 1_000_000
 KEY_MIN = -(1 << 63)
 KEY_MAX = (1 << 63) - 1
 
+# With growth enabled, an insert that would push the table's growth count
+# over GROWTH_LOAD_FACTOR of its capacity first rehashes into
+# GROWTH_MULTIPLIER times the capacity (rounded up to the next value
+# coprime with the step).
+GROWTH_LOAD_FACTOR = 0.7
+GROWTH_MULTIPLIER = 2
+
 
 @dataclass(frozen=True)
 class TableParams:
@@ -39,8 +46,6 @@ class TableParams:
     capacity: int = DEFAULT_CAPACITY
     step: int = 1
     growth_enabled: bool = False
-    growth_load_factor: float = 0.7
-    growth_multiplier: int = 2
 
 
 def validate_params(params: TableParams) -> TableParams:
@@ -55,10 +60,6 @@ def validate_params(params: TableParams) -> TableParams:
         raise StepOutOfRangeError(f"step must satisfy 1 <= step < capacity, got step={c} capacity={m}")
     if gcd(c, m) != 1:
         raise StepNotCoprimeError(f"gcd(step={c}, capacity={m}) = {gcd(c, m)}; some slots would be unreachable")
-    if params.growth_multiplier < 2:
-        raise StepOutOfRangeError(f"growth_multiplier must be >= 2, got {params.growth_multiplier}")
-    if not 0.0 < params.growth_load_factor < 1.0:
-        raise StepOutOfRangeError(f"growth_load_factor must lie in (0, 1), got {params.growth_load_factor}")
     return params
 
 
@@ -129,17 +130,17 @@ class OpenAddressTable:
         """
         if not KEY_MIN <= key <= KEY_MAX:
             raise KeyOutOfRangeError(f"key {key} is outside the signed 64-bit range")
-        p = self._params
-        if p.growth_enabled and (self._growth_count() + 1) / self._capacity > p.growth_load_factor:
+        if self._params.growth_enabled and (self._growth_count() + 1) / self._capacity > GROWTH_LOAD_FACTOR:
             self._grow()
         return self._place_insert(key)
 
     def _grow(self) -> None:
-        p = self._params
-        new_cap = p.growth_multiplier * self._capacity
+        # step % new_cap probes the same sequence as step; it differs from
+        # step only when growing a 1-slot table, whose step may be any
+        new_cap = GROWTH_MULTIPLIER * self._capacity
         while gcd(self._step, new_cap) != 1:
             new_cap += 1
-        self._adopt(self.rehash(replace(p, capacity=new_cap)))
+        self._adopt(self.rehash(replace(self._params, capacity=new_cap, step=self._step % new_cap)))
 
     def _adopt(self, other: "OpenAddressTable") -> None:
         for cls in type(self).__mro__:

@@ -3,9 +3,121 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_splitmix
 from compacthash import (ADD, CONTAINS, REMOVE, CompactTable, EmptyKeyUniverseError,
-                         OpRecord, TableParams, TraceParseError, WorkloadSpec, format_trace,
-                         generate_workload, parse_trace, run_differential)
+                         OpRecord, SplitMix64, TableParams, TraceParseError, WorkloadSpec,
+                         format_trace, generate_workload, parse_trace, run_differential)
+
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def scalar_draws(seed: int, n: int) -> list[int]:
+    next_u64 = scalar_splitmix.ScalarSplitMix64(seed).next_u64
+    return [next_u64() for _ in range(n)]
+
+
+def draws(seed: int, n: int) -> list[int]:
+    next_u64 = SplitMix64(seed).next_u64
+    return [next_u64() for _ in range(n)]
+
+
+def generated(spec: WorkloadSpec):
+    """generate_workload(spec), or the message of the EmptyKeyUniverseError it raised."""
+    try:
+        ops = generate_workload(spec)
+    except EmptyKeyUniverseError as e:
+        return str(e)
+    assert all(type(op) is OpRecord for op in ops)
+    return ops
+
+
+def scalar_generated(spec: WorkloadSpec):
+    try:
+        return scalar_splitmix.generate_workload(spec)
+    except EmptyKeyUniverseError as e:
+        return str(e)
+
+
+class TestSplitMix64:
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
+    def test_matches_scalar_stream_across_block_boundaries(self, seed):
+        # 8193 draws span draws 4095-4097 and 8191-8193, where blocks end
+        got = draws(seed, 8193)
+        assert got == scalar_draws(seed, 8193)
+        assert all(type(u) is int for u in got)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 - 1 + 2**70, -(2**63)])
+    def test_seed_is_taken_modulo_2_64(self, seed):
+        assert draws(seed, 5) == scalar_draws(seed, 5) == draws(seed % 2**64, 5)
+
+    @pytest.mark.parametrize("skip", [1, 4095, 4096, 10_000])
+    def test_reseeding_at_seed_plus_i_gamma_continues_the_stream(self, skip):
+        assert draws(2**64 - 1 + skip * GAMMA, 5) == scalar_draws(2**64 - 1, skip + 5)[skip:]
+
+
+def seed_with_draw(u: int, i: int) -> int:
+    """The seed whose draw i (counting from 0) is u, found by inverting the mix."""
+    z = u
+    z ^= z >> 31 ^ z >> 62
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z ^= z >> 27 ^ z >> 54
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    z ^= z >> 30 ^ z >> 60
+    return (z - (i + 1) * GAMMA) % 2**64
+
+
+def test_largest_draw_is_below_a_threshold_of_2_64_and_keeps_its_full_offset():
+    top = 2**64 - 1
+    seed = seed_with_draw(top, 0)  # op 0's kind draw
+    assert scalar_draws(seed, 1) == [top]
+    spec = WorkloadSpec(seed, 3, (0, 10), mix=(1, 0, 0))
+    assert generated(spec) == scalar_generated(spec)
+    assert generated(spec)[0].kind == ADD
+
+    seed = seed_with_draw(top, 1)  # op 0's key draw
+    spec = WorkloadSpec(seed, 3, (-(2**63), 2**63))
+    assert generated(spec) == scalar_generated(spec)
+    assert generated(spec)[0].key == 2**63 - 1
+
+
+REFERENCE_SPECS = {
+    "seed 2**64 - 1": WorkloadSpec(2**64 - 1, 500, (0, 64)),
+    "all add": WorkloadSpec(3, 500, (0, 64), mix=(1, 0, 0)),
+    "all add with churn": WorkloadSpec(3, 500, (0, 600), mix=(1, 0, 0), churn_rounds=5, churn_batch=7),
+    "all remove": WorkloadSpec(4, 500, (0, 64), mix=(0, 0, 1)),
+    "all remove with churn": WorkloadSpec(4, 500, (0, 64), mix=(0, 0, 1), churn_rounds=3, churn_batch=2),
+    "full signed range": WorkloadSpec(5, 500, (-(2**63), 2**63)),
+    "full signed range with churn": WorkloadSpec(5, 500, (-(2**63), 2**63), churn_rounds=4, churn_batch=9),
+    "keys above int64": WorkloadSpec(6, 500, (2**63, 2**65)),
+    "keys below int64": WorkloadSpec(7, 500, (-(2**70), -(2**70) + 1000), churn_rounds=2, churn_batch=5),
+    "base phase across draw blocks": WorkloadSpec(9, 4097, (0, 1000), churn_rounds=2, churn_batch=3),
+    "one op": WorkloadSpec(8, 1, (0, 10)),
+    "one op with churn": WorkloadSpec(8, 1, (0, 10), mix=(0, 1, 0), churn_rounds=2, churn_batch=3),
+}
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS.values(), ids=REFERENCE_SPECS.keys())
+def test_generate_workload_matches_scalar_reference(spec):
+    assert generated(spec) == scalar_splitmix.generate_workload(spec)
+
+
+weights = st.one_of(st.integers(0, 5), st.floats(0, 10, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       op_count=st.one_of(st.integers(1, 300), st.sampled_from([2047, 2048, 2049])),
+       lo=st.one_of(st.integers(-300, 300), st.integers(-(2**70), 2**70), st.just(-(2**63))),
+       span=st.one_of(st.integers(1, 500), st.integers(1, 2**66),
+                      st.sampled_from([2**63, 2**64 - 1, 2**64, 2**64 + 1])),
+       mix=st.one_of(st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0.1, 0.2, 0)]),
+                     st.tuples(weights, weights, weights).filter(lambda m: sum(m) > 0)),
+       churn_rounds=st.sampled_from([0, 0, 1, 4]),
+       churn_batch=st.integers(1, 8))
+def test_generate_workload_matches_scalar_reference_property(seed, op_count, lo, span, mix,
+                                                             churn_rounds, churn_batch):
+    spec = WorkloadSpec(seed, op_count, (lo, lo + span), mix, churn_rounds, churn_batch)
+    assert generated(spec) == scalar_generated(spec)
 
 
 class TestGenerateWorkload:

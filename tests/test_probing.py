@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from compacthash import (BUSY, CompactTable, KeyOutOfRangeError, StepNotCoprimeError,
                          StepOutOfRangeError, TableFullError, TableParams, TombstoneTable,
-                         ZeroCapacityError, validate_params)
+                         ZeroCapacityError, check_invariants, validate_params)
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -104,13 +104,15 @@ def test_validate_params_rejects_bad_step():
         validate_params(TableParams(7, 9))
 
 
-def test_validate_params_rejects_bad_growth_settings():
-    with pytest.raises(StepOutOfRangeError):
-        validate_params(TableParams(7, 1, growth_multiplier=1))
-    with pytest.raises(StepOutOfRangeError):
-        validate_params(TableParams(7, 1, growth_load_factor=1.0))
-    with pytest.raises(StepOutOfRangeError):
-        validate_params(TableParams(7, 1, growth_load_factor=0.0))
+@pytest.mark.parametrize("cls", [CompactTable, TombstoneTable])
+def test_one_slot_table_with_a_large_step_grows(cls):
+    # step >= capacity is valid only at capacity 1; growth reduces the
+    # step modulo the new capacity, which probes the same slots
+    table = cls(validate_params(TableParams(1, 5, growth_enabled=True)))
+    assert table.insert(3)
+    assert table.capacity > 1 and table.params.step < table.capacity
+    assert table.contains(3) and len(table) == 1
+    assert check_invariants(table).passed
 
 
 def test_default_params():
