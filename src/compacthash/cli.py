@@ -8,7 +8,6 @@ identical arguments produce byte-identical artifacts.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .compact import CompactTable
@@ -16,7 +15,7 @@ from .errors import CompactHashError, TableFullError, TraceParseError
 from .harness import (GENERATOR_ID, LiveKeys, SplitMix64, WorkloadSpec, format_trace,
                       generate_workload, parse_trace, run_differential)
 from .introspect import probe_stats
-from .probing import TableParams, validate_params
+from .probing import KEY_MIN, TableParams, validate_params
 from .tombstone import TombstoneTable
 
 CSV_COLUMNS = ("round", "table_kind", "mean_success", "mean_miss", "max_probe",
@@ -28,38 +27,12 @@ class _UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    """One benchmark measurement: one table kind after one churn round."""
-
-    round: int
-    table_kind: str
-    mean_success: float
-    mean_miss: float
-    max_probe: int
-    load_factor: float
-    tombstone_count: int
-    relocations_this_round: int
-
-    def to_csv(self) -> str:
-        return ",".join(str(getattr(self, name)) for name in CSV_COLUMNS)
-
-    def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_COLUMNS}
-
-
-def _bench_row(table, round_no: int, relocations: int) -> BenchRow:
+def _bench_row(table, round_no: int, relocations: int) -> dict:
+    """One table kind after one churn round, keyed by CSV_COLUMNS."""
     stats = probe_stats(table)
-    return BenchRow(
-        round=round_no,
-        table_kind="compact" if isinstance(table, CompactTable) else "tombstone",
-        mean_success=stats.mean_success,
-        mean_miss=stats.mean_miss,
-        max_probe=stats.max_probe,
-        load_factor=stats.load_factor,
-        tombstone_count=stats.tombstone_count,
-        relocations_this_round=relocations,
-    )
+    kind = "compact" if isinstance(table, CompactTable) else "tombstone"
+    return dict(zip(CSV_COLUMNS, (round_no, kind, stats.mean_success, stats.mean_miss, stats.max_probe,
+                                  stats.load_factor, stats.tombstone_count, relocations)))
 
 
 def _parse_universe(text: str) -> tuple[int, int]:
@@ -124,10 +97,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _signed(u: int) -> int:
-    return u - (1 << 63)
-
-
 def cmd_bench(args) -> int:
     if args.batch < 0 or args.rounds < 0:
         raise _UsageError(f"--batch and --rounds must be >= 0, got {args.batch} and {args.rounds}")
@@ -141,30 +110,18 @@ def cmd_bench(args) -> int:
     tombstone = TombstoneTable(params)
     next_u64 = SplitMix64(args.seed).next_u64
     live = LiveKeys()
-    live_list, live_index = live.keys, live.index
-    track_add, track_remove = live.add, live.discard
-
-    def fresh_key() -> int:
-        for _ in range(4096):
-            key = _signed(next_u64())
-            if key not in live_index:
-                return key
-        raise _UsageError("could not draw a fresh 64-bit key")  # practically unreachable
-
     for _ in range(args.live_target):
-        key = fresh_key()
+        key = live.add_fresh(next_u64, KEY_MIN, 1 << 64)
         compact.insert(key)
         tombstone.insert(key)
-        track_add(key)
 
     rows = [_bench_row(compact, 0, 0), _bench_row(tombstone, 0, 0)]
     insert_slots = insert_ops = compress_slots = compress_ops = 0
     tombstone_insert_failures = 0
     for round_no in range(1, args.rounds + 1):
         relocations = 0
-        for _ in range(min(args.batch, len(live_list))):
-            key = live_list[next_u64() % len(live_list)]
-            track_remove(key)
+        for _ in range(min(args.batch, len(live.keys))):
+            key = live.pick(next_u64())
             _, _find, scan, moved = compact.remove_counted(key)
             relocations += moved
             compress_slots += scan
@@ -173,7 +130,7 @@ def cmd_bench(args) -> int:
         for _ in range(args.batch):
             if len(compact) >= args.capacity - 1:
                 break
-            key = fresh_key()
+            key = live.add_fresh(next_u64, KEY_MIN, 1 << 64)
             _, n = compact.insert_counted(key)
             insert_slots += n
             insert_ops += 1
@@ -181,7 +138,6 @@ def cmd_bench(args) -> int:
                 tombstone.insert(key)
             except TableFullError:
                 tombstone_insert_failures += 1
-            track_add(key)
         rows.append(_bench_row(compact, round_no, relocations))
         rows.append(_bench_row(tombstone, round_no, 0))
 
@@ -198,7 +154,7 @@ def cmd_bench(args) -> int:
     # least as expensive as compact misses. Absolute values are seed
     # dependent, the direction is not.
     if args.rounds >= 10:
-        miss = {(r.round, r.table_kind): r.mean_miss for r in rows}
+        miss = {(r["round"], r["table_kind"]): r["mean_miss"] for r in rows}
         for round_no in range(10, args.rounds + 1):
             if miss[(round_no, "tombstone")] < miss[(round_no, "compact")]:
                 print(f"benchmark assertion failed: tombstone mean_miss below compact at round {round_no}",
@@ -244,15 +200,15 @@ def _bench_adversarial(args, params: TableParams) -> int:
     return 0
 
 
-def _emit_bench(args, rows: list[BenchRow], summary: dict) -> None:
+def _emit_bench(args, rows: list[dict], summary: dict) -> None:
     if args.format == "csv":
         lines = [CSV_SCHEMA_LINE, ",".join(CSV_COLUMNS)]
-        lines.extend(row.to_csv() for row in rows)
+        lines.extend(",".join(str(row[name]) for name in CSV_COLUMNS) for row in rows)
         lines.extend(f"# {name}={value}" for name, value in summary.items())
         text = "\n".join(lines) + "\n"
         filename = "bench.csv"
     else:
-        payload = {"schema": 1, "rows": [row.to_json_dict() for row in rows], "summary": summary}
+        payload = {"schema": 1, "rows": rows, "summary": summary}
         text = json.dumps(payload, indent=2) + "\n"
         filename = "bench.json"
     if args.out_dir:

@@ -54,6 +54,8 @@ class CompactTable(OpenAddressTable):
 
     # -- membership ----------------------------------------------------
 
+    # Every op writes its probe walk out: a shared walk method would add a
+    # Python call, which costs about as much as a short lookup.
     def contains_counted(self, key: int) -> tuple[bool, int]:
         """Like contains, also returning the number of slots examined."""
         m = self._capacity

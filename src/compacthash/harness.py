@@ -5,16 +5,17 @@ splitmix64 (the identity recorded in trace headers), which is
 counter-based: draw i of the stream seeded with s is a fixed mixing
 function of s + i * gamma mod 2**64. A block of draws is therefore one
 wrapping numpy uint64 expression; the base phase of a workload is
-computed whole, and SplitMix64 hands out further draws from blocks it
-refills. Identical specs yield identical operation sequences forever.
-The differential runner applies every operation to a compact table, a
-tombstone table, and a plain Python set, comparing all three return
-values and periodically running the structural invariant checker.
+built 4,096 draws at a time, and SplitMix64 hands out further draws
+from blocks it refills. Identical specs yield identical operation
+sequences forever. The differential runner applies every operation to
+a compact table, a tombstone table, and a plain Python set, comparing
+all three return values and periodically running the structural
+invariant checker.
 """
 
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -96,7 +97,7 @@ class SplitMix64:
 
 
 class LiveKeys:
-    """The currently live keys, for seeded uniform picks among them.
+    """The currently live keys, for seeded uniform picks and fresh-key draws.
 
     keys lists them and index maps each to its position in keys. Removal
     moves the last key into the freed position, so the order of keys, and
@@ -121,6 +122,25 @@ class LiveKeys:
             if at < len(self.keys):
                 self.keys[at] = last
                 self.index[last] = at
+
+    def pick(self, u: int) -> int:
+        """Discard and return the live key at position u % len(keys)."""
+        key = self.keys[u % len(self.keys)]
+        self.discard(key)
+        return key
+
+    def add_fresh(self, next_u64: Callable[[], int], lo: int, span: int) -> int:
+        """Add and return the first lo + next_u64() % span that is not live.
+
+        Raises EmptyKeyUniverseError after 4,096 draws of live keys.
+        """
+        for _ in range(4096):
+            key = lo + next_u64() % span
+            if key not in self.index:
+                self.add(key)
+                return key
+        raise EmptyKeyUniverseError(
+            f"could not draw a fresh key from [{lo}, {lo + span}) with {len(self.keys)} keys live")
 
 
 def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
@@ -169,33 +189,20 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
         return ops
 
     live = LiveKeys()
-    live_list, live_index = live.keys, live.index
-    track_add, track_remove = live.add, live.discard
     for kind, key in ops:
         if kind == ADD:
-            track_add(key)
+            live.add(key)
         elif kind == REMOVE:
-            track_remove(key)
+            live.discard(key)
 
     next_u64 = SplitMix64(spec.seed + 2 * n * int(_GAMMA)).next_u64
     for _ in range(spec.churn_rounds):
         for _ in range(spec.churn_batch):
-            if live_list:
-                key = live_list[next_u64() % len(live_list)]
-            else:
-                key = lo + next_u64() % span
+            u = next_u64()
+            key = live.pick(u) if live.keys else lo + u % span
             ops.append(OpRecord(REMOVE, key))
-            track_remove(key)
         for _ in range(spec.churn_batch):
-            for _ in range(4096):
-                key = lo + next_u64() % span
-                if key not in live_index:
-                    break
-            else:
-                raise EmptyKeyUniverseError(
-                    f"could not draw a fresh key from [{lo}, {hi}) with {len(live_list)} keys live")
-            ops.append(OpRecord(ADD, key))
-            track_add(key)
+            ops.append(OpRecord(ADD, live.add_fresh(next_u64, lo, span)))
     return ops
 
 
@@ -311,14 +318,8 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
 
 
 def format_trace(ops: Iterable[OpRecord], meta: Optional[dict] = None) -> str:
-    """Render ops as trace text: `# key=value` headers, one op per line."""
-    lines = []
-    meta = dict(meta or {})
-    for name in ("capacity", "step", "seed", "generator"):
-        if name in meta:
-            lines.append(f"# {name}={meta.pop(name)}")
-    for name in sorted(meta):
-        lines.append(f"# {name}={meta[name]}")
+    """Render ops as trace text: `# name=value` headers in meta's order, one op per line."""
+    lines = [f"# {name}={value}" for name, value in (meta or {}).items()]
     for op in ops:
         lines.append(f"{_KIND_TO_CHAR[op.kind]} {op.key}")
     return "\n".join(lines) + "\n"

@@ -305,9 +305,10 @@ def probe_stats(table: AnyTable) -> ProbeStats:
     probe-cycle order, where the clusters that lengthen probes live.
 
     Compact tables read probe lengths straight from the stored counts;
-    tombstone tables derive them by replaying a lookup of every stored
-    key. mean_miss averages, over all capacity home positions, the cost
-    of an unsuccessful lookup (terminating empty/FREE slot included).
+    tombstone tables derive each key's from the probe-cycle distance
+    from its home slot to its slot. mean_miss averages, over all
+    capacity home positions, the cost of an unsuccessful lookup
+    (terminating empty/FREE slot included).
     """
     m = table.capacity
     step = table.params.step

@@ -80,6 +80,8 @@ class TombstoneTable(OpenAddressTable):
 
     # -- membership ----------------------------------------------------
 
+    # Every op writes its probe walk out: a shared walk method would add a
+    # Python call, which costs about as much as a short lookup.
     def contains_counted(self, key: int) -> tuple[bool, int]:
         """Like contains, also returning the slots examined, terminator or hit included."""
         m = self._capacity

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
-from compacthash import CompactTable, parse_trace
+import compacthash.cli
+from compacthash import CompactTable, TombstoneTable, parse_trace
 from compacthash.cli import main
 
 
@@ -148,6 +150,33 @@ class TestBench:
         assert by_key[(1, "tombstone")]["tombstone_count"] == 50
         assert by_key[(1, "compact")]["load_factor"] == 0.0
 
+    def test_failed_directional_claim_exits_1_after_writing_rows(self, capsys, monkeypatch):
+        probe_stats = compacthash.cli.probe_stats
+
+        def cheap_tombstone_misses(table):
+            stats = probe_stats(table)
+            if isinstance(table, TombstoneTable):
+                stats = dataclasses.replace(stats, mean_miss=0.0)
+            return stats
+
+        monkeypatch.setattr(compacthash.cli, "probe_stats", cheap_tombstone_misses)
+        code, out, err = run(capsys, "bench", "--capacity", "64", "--live-target", "16",
+                             "--rounds", "10", "--batch", "4")
+        assert code == 1
+        assert err == "benchmark assertion failed: tombstone mean_miss below compact at round 10\n"
+        rows = [l for l in out.split("\n")[2:] if l and not l.startswith("#")]
+        assert len(rows) == 11 * 2
+
+    def test_wrong_adversarial_miss_cost_exits_1_after_writing_rows(self, capsys, monkeypatch):
+        monkeypatch.setattr(TombstoneTable, "contains_counted", lambda self, key: (False, 1))
+        code, out, err = run(capsys, "bench", "--capacity", "256", "--batch", "50",
+                             "--adversarial", "--format", "json")
+        assert code == 1
+        assert err.startswith("benchmark assertion failed:") and err.count("\n") == 1
+        payload = json.loads(out)
+        assert len(payload["rows"]) == 4
+        assert payload["summary"]["home_miss_cost_tombstone"] == 1
+
     def test_adversarial_needs_room(self, capsys):
         code, _, err = run(capsys, "bench", "--capacity", "40", "--batch", "50", "--adversarial")
         assert code == 2
@@ -164,12 +193,16 @@ class TestBench:
     (("fuzz", "--check-every", "0"), None),
     (("fuzz", "--seed-count", "0"), None),
     (("fuzz", "--seed-count", "-3"), None),
+    (("fuzz", "--universe", "abc"), None),
+    (("fuzz", "--universe", "5"), None),
+    (("fuzz", "--universe", "7:3"), None),
     (("bench", "--batch", "-1"), None),
     (("bench", "--rounds", "-1"), None),
     (("bench", "--batch", "-1", "--adversarial"), None),
 ], ids=["capacity-header", "step-header", "key-2^63", "trace-overfull-compact",
         "trace-overfull-tombstone", "trace-not-utf8", "fuzz-ops-0", "fuzz-check-every-0",
-        "fuzz-seed-count-0", "fuzz-seed-count-neg", "bench-batch-neg", "bench-rounds-neg",
+        "fuzz-seed-count-0", "fuzz-seed-count-neg", "fuzz-universe-abc", "fuzz-universe-5",
+        "fuzz-universe-empty", "bench-batch-neg", "bench-rounds-neg",
         "adversarial-batch-neg"])
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, trace_text):
     path = tmp_path / "ops.trace"

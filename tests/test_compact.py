@@ -83,6 +83,11 @@ class TestContains:
         t = build(7, keys=[7, 14])
         assert not t.contains(21)
 
+    def test_walk_wraps_from_last_slot_to_slot_0(self):
+        t = build(7, keys=[6, 13])  # 13 shares home 6 and lands in slot 0
+        assert t.contains_counted(13) == (True, 2)
+        assert t.contains_counted(20) == (False, 3)  # slots 6, 0, then empty 1
+
 
 class TestRemove:
     def test_missing_key(self):

@@ -1,16 +1,17 @@
 """Pinned output digests: refactors must reproduce these bytes exactly.
 
 The digests were recorded from the implementation before the two tables
-shared a core. The bench runs use a small table that the churn drives
-into the tombstone table's saturated regime, where FREE slots are
-scarce, at a unit and a non-unit step.
+shared a core; the fuzz failure artifact digests, before the churn
+steps moved into LiveKeys. The bench runs use a small table that the
+churn drives into the tombstone table's saturated regime, where FREE
+slots are scarce, at a unit and a non-unit step.
 """
 
 import hashlib
 
 import pytest
 
-from compacthash import WorkloadSpec, format_trace, generate_workload
+from compacthash import CompactTable, WorkloadSpec, format_trace, generate_workload
 from compacthash.cli import main
 
 
@@ -38,3 +39,17 @@ CHURN = ("bench", "--capacity", "4096", "--live-target", "2048", "--batch", "102
 def test_bench_digest(capsys, argv, digest):
     assert main(list(argv)) == 0
     assert sha256(capsys.readouterr().out) == digest
+
+
+def test_fuzz_failure_artifact_digests(capsys, tmp_path, monkeypatch):
+    # a remove that skips compaction makes seed 0 fail; its trace pins the
+    # header order and its verdict pins the verdict JSON
+    monkeypatch.setattr(CompactTable, "_compress", lambda self, free: (0, 0))
+    argv = ["fuzz", "--seed-count", "5", "--capacity", "257", "--ops", "2000",
+            "--check-every", "1", "--universe", "0:280", "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    capsys.readouterr()
+    assert sha256((tmp_path / "seed0.trace").read_text()) == (
+        "44ad83466e2537562733a6e5ccce893359ed9981118fda8e1b537fc4438d1067")
+    assert sha256((tmp_path / "seed0.verdict.json").read_text()) == (
+        "12ee36b6a6bc4bfc15e0ad7179ffe1682b535a95109defbca7606d8c962e2b54")

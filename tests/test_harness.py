@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import scalar_splitmix
 from compacthash import (ADD, CONTAINS, REMOVE, CompactTable, EmptyKeyUniverseError,
-                         OpRecord, SplitMix64, TableParams, TraceParseError, WorkloadSpec,
-                         format_trace, generate_workload, parse_trace, run_differential)
+                         OpRecord, SplitMix64, TableParams, TombstoneTable, TraceParseError,
+                         WorkloadSpec, format_trace, generate_workload, parse_trace,
+                         run_differential)
 
 GAMMA = 0x9E3779B97F4A7C15
 
@@ -205,6 +206,24 @@ class TestRunDifferential:
         # and the structural gap was already flagged right after the remove
         assert any(f.op_index == 2 and f.table_kind == "compact"
                    for f in verdict.invariant_failures)
+
+    def test_tombstone_invariant_failure_is_recorded(self, monkeypatch):
+        # a remove that miscounts non-FREE slots answers correctly, so only
+        # the checker can see it
+        remove_counted = TombstoneTable.remove_counted
+
+        def miscounting_remove(self, key):
+            result = remove_counted(self, key)
+            self._non_free += 1
+            return result
+
+        monkeypatch.setattr(TombstoneTable, "remove_counted", miscounting_remove)
+        ops = [OpRecord(ADD, 7), OpRecord(ADD, 14), OpRecord(REMOVE, 7), OpRecord(CONTAINS, 14)]
+        verdict = run_differential(ops, TableParams(7, 1), check_every=1)
+        assert not verdict.passed
+        assert verdict.first_divergence is None
+        assert [(f.op_index, f.table_kind) for f in verdict.invariant_failures] == [
+            (2, "tombstone"), (3, "tombstone")]
 
     def test_table_full_is_a_divergence_not_a_crash(self):
         ops = [OpRecord(ADD, 0), OpRecord(ADD, 1), OpRecord(ADD, 2)]
