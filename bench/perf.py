@@ -4,10 +4,13 @@
 
 builds a grid of 65,536-slot tables and times check_invariants and
 probe_stats on each: both table kinds at loads 0.02, 0.25, 0.5 and 0.9
-at steps 1 and 3, plus a saturated tombstone table: every slot but one
-non-FREE, keys at load 0.02 only. Each figure is the median of 41 calls
-after one untimed call. The tables are the same on every run: keys come
-from a seeded generator.
+and at 100, 4,095 and 4,096 keys, at steps 1 and 3, plus a saturated
+tombstone table: every slot but one non-FREE, keys at load 0.02 only.
+100 keys is the fuzz-checked workload's shape; 4,095 and 4,096 lie on
+each side of capacity / 16 occupied slots, where the checker switches
+from sorting cycle positions to gathering the table into cycle order.
+Each figure is the median of 41 calls after one untimed call. The
+tables are the same on every run: keys come from a seeded generator.
 
 The generation layer is timed as seconds of generate_workload per
 100,000 ops, for the fuzz-bulk spec (100,000 base ops) and for a spec
@@ -38,6 +41,7 @@ from compacthash import (CompactTable, SplitMix64, TableParams, TombstoneTable, 
 
 CAPACITY = 1 << 16
 LOADS = (0.02, 0.25, 0.5, 0.9)
+KEY_COUNTS = (100, CAPACITY // 16 - 1, CAPACITY // 16)
 STEPS = (1, 3)
 SATURATED_LOAD = 0.02
 CALLS = 41  # timed calls per grid point
@@ -58,9 +62,9 @@ def _keys(seed: int, count: int) -> list[int]:
     return [int(k) for k in rng.choice(1 << 40, size=count, replace=False)]
 
 
-def _filled(kind, step: int, load: float):
+def _filled(kind, step: int, count: int):
     t = kind(TableParams(CAPACITY, step))
-    for key in _keys(step, round(load * CAPACITY)):
+    for key in _keys(step, count):
         t.insert(key)
     return t
 
@@ -77,10 +81,12 @@ def _saturated(step: int) -> TombstoneTable:
 
 
 def grid():
+    sizes = [(f"load{load}", round(load * CAPACITY)) for load in LOADS]
+    sizes += [(f"keys{count}", count) for count in KEY_COUNTS]
     for step in STEPS:
-        for load in LOADS:
+        for size, count in sizes:
             for kind, name in ((CompactTable, "compact"), (TombstoneTable, "tombstone")):
-                yield f"{name}/step{step}/load{load}", lambda k=kind, s=step, f=load: _filled(k, s, f)
+                yield f"{name}/step{step}/{size}", lambda k=kind, s=step, n=count: _filled(k, s, n)
         yield f"tombstone-saturated/step{step}/load{SATURATED_LOAD}", lambda s=step: _saturated(s)
 
 

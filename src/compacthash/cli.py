@@ -15,7 +15,7 @@ from .errors import CompactHashError, TableFullError, TraceParseError
 from .harness import (GENERATOR_ID, LiveKeys, SplitMix64, WorkloadSpec, format_trace,
                       generate_workload, parse_trace, run_differential)
 from .introspect import probe_stats
-from .probing import KEY_MIN, TableParams, validate_params
+from .probing import KEY_MAX, KEY_MIN, TableParams, validate_params
 from .tombstone import TombstoneTable
 
 CSV_COLUMNS = ("round", "table_kind", "mean_success", "mean_miss", "max_probe",
@@ -38,9 +38,12 @@ def _bench_row(table, round_no: int, relocations: int) -> dict:
 def _parse_universe(text: str) -> tuple[int, int]:
     try:
         lo, _, hi = text.partition(":")
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise _UsageError(f"--universe expects 'lo:hi', got {text!r}") from None
+    if not KEY_MIN <= lo < hi <= KEY_MAX + 1:
+        raise _UsageError(f"--universe [{lo}, {hi}) is not a nonempty range of signed 64-bit keys")
+    return lo, hi
 
 
 def _header_int(meta: dict[str, str], name: str, default: int) -> int:

@@ -11,22 +11,25 @@ invariant checking affordable inside differential runs.
 Reachability (Knuth, TAOCP Vol. 3, 6.4, Algorithm R: a key is found iff
 no empty slot lies between its home and its slot) is a predecessor test
 on probe-cycle positions. Let cp be the sorted cycle positions of the
-occupied slots (busy slots of a compact table, non-FREE slots of a
-tombstone table) and rank a key's index in cp. The d path positions
-before the key are all occupied iff the d-th occupied position before
-it, cp[rank - d] taken cyclically, lies exactly d steps back: O(1) per
-key, with no prefix sums. Only a key that fails the test has its
-occupied path positions counted, for the report. Duplicate keys are
-screened with one sort; the stable argsort that names the reported
+occupied slots (slots with a nonzero probe count in a compact table,
+non-FREE slots in a tombstone table) and rank a key's index in cp. The
+d path positions before the key are all occupied iff the d-th occupied
+position before it, cp[rank - d] taken cyclically, lies exactly d steps
+back: O(1) per key, with no prefix sums. Only a key that fails the test
+has its occupied path positions counted, for the report. Duplicate keys
+are screened with one sort; the stable argsort that names the reported
 slots runs only when the screen finds a repeat.
 
-The only O(capacity) work in the checker is the compares that build
-the occupancy masks and the flatnonzero over them, plus, for a
-tombstone table at step != 1, one gather of its state bytes into cycle
-order: non-FREE slots can far outnumber keys, so a sort of their
-positions could cost more. Everything else is O(keys) or
-O(keys log keys). A compact table at step != 1 gets cp by sorting its
-busy slots' positions.
+A passing check costs one O(capacity) scan of the table, the compare
+and flatnonzero that find its occupied slots, plus a handful of numpy
+calls over the occupied slots, each O(n) or O(n log n). Every pass/fail
+screen settles with one count_nonzero, and detail strings are built
+only after a screen fails. At step != 1 a count of the occupied slots
+picks how their cycle positions are found: a sort of their positions
+while fewer than capacity / _SORT_DIVISOR are occupied, and otherwise
+one more O(capacity) pass, a gather of the marks into cycle order.
+Non-FREE slots can far outnumber keys, and the gather then costs less
+than the sort.
 """
 
 from dataclasses import dataclass, field
@@ -100,6 +103,15 @@ class ProbeStats:
 # visited at position t of the shared probe cycle; pos is its inverse.
 _CYCLE_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
+# At step != 1, a table with fewer than m / _SORT_DIVISOR occupied slots
+# gets its occupied cycle positions by a sort, a fuller one by an O(m)
+# gather (see _cycle_occupied). Timed with each method forced on the
+# bench/perf.py step-3 tables, the two break even at about m/16 for both
+# kinds at m = 2^20 and for compact tables at m = 2^16. Tombstone tables
+# at m = 2^16 break even nearer m/12; at m/16 the gather costs them 5-10%
+# more than a sort would.
+_SORT_DIVISOR = 16
+
 
 def _cycle_maps(m: int, step: int) -> tuple[np.ndarray, np.ndarray]:
     found = _CYCLE_CACHE.get((m, step))
@@ -139,24 +151,31 @@ def _cycle_order(per_slot: np.ndarray, step: int) -> np.ndarray:
     return np.take(per_slot, _cycle_maps(per_slot.size, step)[0], mode="clip")
 
 
-def _cycle_ranks(slots: np.ndarray, m: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cycle positions of the ascending, distinct slots, sorted and per slot.
+def _cycle_occupied(occupied: np.ndarray, marks: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted probe-cycle positions of the occupied slots, and their marks in that order.
 
-    Returns (cp, cpos, rank): cp sorted, cpos[i] the position of slots[i]
-    and rank[i] its index in cp. O(n log n) in the number of slots; the
-    one m-sized array is allocated but only written at those positions.
+    occupied is a boolean mask over the slots, and marks a one-byte
+    per-slot array that is nonzero exactly where occupied is set. Returns
+    (cp, marks[sigma[cp]]). At step != 1 a table with fewer than
+    m / _SORT_DIVISOR occupied slots gets cp by sorting their positions,
+    O(n log n); a fuller one by one gather of its marks into cycle order,
+    O(m).
     """
     if step == 1:
-        return slots, slots, np.arange(slots.size)
-    cpos = _cycle_maps(m, step)[1][slots]
-    cp = np.sort(cpos)
-    rank_of = np.empty(m, dtype=np.int64)
-    rank_of[cp] = np.arange(cp.size)
-    return cp, cpos, rank_of[cpos]
+        cp = np.flatnonzero(occupied)
+        return cp, marks[cp]
+    m = occupied.size
+    sigma, pos = _cycle_maps(m, step)
+    if np.count_nonzero(occupied) < m // _SORT_DIVISOR:
+        cp = np.sort(pos[np.flatnonzero(occupied)])
+        return cp, marks[sigma[cp]]
+    by_pos = _cycle_order(marks, step)
+    cp = np.flatnonzero(by_pos != 0)
+    return cp, by_pos[cp]
 
 
-def _path_full(cp: np.ndarray, cpos: np.ndarray, rank: np.ndarray, d: np.ndarray, m: int) -> np.ndarray:
-    """Whether the d cycle positions just before each cpos are all occupied.
+def _path_gap(cp: np.ndarray, cpos: np.ndarray, rank: np.ndarray, d: np.ndarray, m: int) -> np.ndarray:
+    """Whether any of the d cycle positions just before each cpos is unoccupied.
 
     cp holds the sorted, distinct occupied cycle positions, cpos is
     cp[rank] and 0 <= d < m. The d positions before cpos are all
@@ -166,13 +185,18 @@ def _path_full(cp: np.ndarray, cpos: np.ndarray, rank: np.ndarray, d: np.ndarray
     """
     n = cp.size
     back = cpos - cp[rank - np.minimum(d, n - 1)]  # a negative index wraps once
-    return (d < n) & ((back == d) | (back == d - m))
+    return (d >= n) | ((back != d) & (back != d - m))
 
 
 def _occupied_before(cp: np.ndarray, cpos: np.ndarray, d: np.ndarray, m: int) -> np.ndarray:
     """How many of the d cycle positions just before each cpos lie in cp."""
     lo = cpos - d
     return np.searchsorted(cp, cpos) - np.searchsorted(cp, lo % m) + np.where(lo < 0, cp.size, 0)
+
+
+def _by_slot(idx: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The indices idx, reordered so that slots[idx] ascends."""
+    return idx[np.argsort(slots[idx])]
 
 
 def _dup_violations(keys_busy: np.ndarray, slots_busy: np.ndarray) -> list[Violation]:
@@ -183,7 +207,7 @@ def _dup_violations(keys_busy: np.ndarray, slots_busy: np.ndarray) -> list[Viola
     which slots get reported run only when the screen finds one.
     """
     ks = np.sort(keys_busy)
-    if not (ks[1:] == ks[:-1]).any():
+    if not np.count_nonzero(ks[1:] == ks[:-1]):
         return []
     by_slot = np.argsort(slots_busy)
     keys_busy, slots_busy = keys_busy[by_slot], slots_busy[by_slot]
@@ -202,10 +226,12 @@ def _check_compact(table: CompactTable) -> ViolationReport:
     step = table.params.step
     pc = np.frombuffer(table._probe_counts, dtype=np.int64)
     keys = np.frombuffer(table._keys, dtype=np.int64)
-    slots = np.flatnonzero(pc > 0)
+    # every nonzero count marks a busy slot, as it does for the table's walks
+    busy = pc != 0
+    cp, _ = _cycle_occupied(busy, busy.view(np.int8), step)
     report = ViolationReport()
 
-    live = slots.size
+    live = cp.size
     if live != len(table):
         report.violations.append(Violation(-1, COUNT_MISMATCH, f"live_count {len(table)} but {live} busy slots"))
     if live > m - 1:
@@ -213,39 +239,44 @@ def _check_compact(table: CompactTable) -> ViolationReport:
     if live == 0:
         return report
 
-    j = pc[slots]
+    slots = cp if step == 1 else _cycle_maps(m, step)[0][cp]
     kb = keys[slots]
-    # every busy slot counts as occupied on a path, whatever its probe count
-    cp, cpos, rank = _cycle_ranks(slots, m, step)
+    d = pc[slots] - 1  # path slots before each key
+    # a count outside 1..m, negative ones included, is a d of m or more as uint64
+    bad_range = d.view(np.uint64) >= m
+    if np.count_nonzero(bad_range):
+        for s in slots[_by_slot(np.flatnonzero(bad_range), slots)]:
+            count = int(pc[s])
+            detail = f"exceeds capacity {m}" if count > m else "is negative"
+            report.violations.append(Violation(int(s), SLOT_INCONSISTENT, f"probe_count {count} {detail}"))
+        # every busy slot stays occupied on the paths, whatever its count
+        rank = np.flatnonzero(~bad_range)
+        slots, d, kb, cpos = slots[rank], d[rank], kb[rank], cp[rank]
+    else:
+        rank, cpos = np.arange(live), cp
 
-    bad_range = j > m
-    for s in slots[bad_range]:
-        report.violations.append(Violation(int(s), SLOT_INCONSISTENT, f"probe_count {int(pc[s])} exceeds capacity {m}"))
-    if bad_range.any():
-        keep = ~bad_range
-        slots, j, kb, cpos, rank = slots[keep], j[keep], kb[keep], cpos[keep], rank[keep]
-
-    expect = (kb % m + (j - 1) * step) % m
-    consistent = expect == slots
-    for idx in np.flatnonzero(~consistent):
-        s = int(slots[idx])
-        report.violations.append(Violation(
-            s, SLOT_INCONSISTENT,
-            f"key {int(kb[idx])} with probe_count {int(j[idx])} belongs at slot {int(expect[idx])}, found at {s}"))
+    expect = (kb % m + d * step) % m
+    wrong = expect != slots
+    if np.count_nonzero(wrong):
+        for i in _by_slot(np.flatnonzero(wrong), slots):
+            s = int(slots[i])
+            report.violations.append(Violation(
+                s, SLOT_INCONSISTENT,
+                f"key {int(kb[i])} with probe_count {int(d[i]) + 1} belongs at slot {int(expect[i])}, found at {s}"))
 
     report.violations.extend(_dup_violations(kb, slots))
 
-    # a slot with a broken probe count has no meaningful path; only check
-    # reachability where the stored count itself is trustworthy
-    gap = consistent & ~_path_full(cp, cpos, rank, j - 1, m)
-    if gap.any():
-        idx = np.flatnonzero(gap)
-        filled = _occupied_before(cp, cpos[idx], j[idx] - 1, m)
+    gap = _path_gap(cp, cpos, rank, d, m)
+    if np.count_nonzero(gap):
+        # a slot with a broken probe count has no meaningful path; only
+        # report gaps where the stored count itself is trustworthy
+        idx = _by_slot(np.flatnonzero(gap & ~wrong), slots)
+        filled = _occupied_before(cp, cpos[idx], d[idx], m)
         for i, f in zip(idx, filled):
             s = int(slots[i])
             report.violations.append(Violation(
                 s, REACHABILITY_GAP,
-                f"key {int(kb[i])} at slot {s}: only {int(f)} of {int(j[i]) - 1} path slots busy"))
+                f"key {int(kb[i])} at slot {s}: only {int(f)} of {int(d[i])} path slots busy"))
     return report
 
 
@@ -254,20 +285,19 @@ def _check_tombstone(table: TombstoneTable) -> ViolationReport:
     step = table.params.step
     st = np.frombuffer(table._states, dtype=np.int8)
     keys = np.frombuffer(table._keys, dtype=np.int64)
+    # invalid states block no path, as DELETED ones do
+    cp, marks = _cycle_occupied(st != FREE, st, step)
+    sigma, pos = _cycle_maps(m, step)
     report = ViolationReport()
 
     # FREE is 0 and DELETED the largest state, so as bytes every invalid
     # state, negative ones included, compares above DELETED
-    for s in np.flatnonzero(st.view(np.uint8) > DELETED):
-        report.violations.append(Violation(int(s), SLOT_INCONSISTENT, f"invalid state {int(st[s])}"))
+    invalid = marks.view(np.uint8) > DELETED
+    if np.count_nonzero(invalid):
+        for s in np.sort(sigma[cp[invalid]]):
+            report.violations.append(Violation(int(s), SLOT_INCONSISTENT, f"invalid state {int(st[s])}"))
 
-    # Non-FREE slots can far outnumber keys, so their cycle positions come
-    # from one gather of the states into cycle order, not from a sort.
-    # Invalid states block no path, as DELETED ones do.
-    sigma, pos = _cycle_maps(m, step)
-    by_pos = _cycle_order(st, step)
-    cp = np.flatnonzero(by_pos != FREE)
-    rank = np.flatnonzero(by_pos[cp] == BUSY)
+    rank = np.flatnonzero(marks == BUSY)
     live = rank.size
     non_free = cp.size
     if live != len(table):
@@ -286,11 +316,11 @@ def _check_tombstone(table: TombstoneTable) -> ViolationReport:
     report.violations.extend(_dup_violations(kb, slots))
 
     dist = (cpos - pos[kb % m]) % m
-    gap = np.flatnonzero(~_path_full(cp, cpos, rank, dist, m))
-    if gap.size:
-        gap = gap[np.argsort(slots[gap])]
-        free_on_path = dist[gap] - _occupied_before(cp, cpos[gap], dist[gap], m)
-        for i, f in zip(gap, free_on_path):
+    gap = _path_gap(cp, cpos, rank, dist, m)
+    if np.count_nonzero(gap):
+        idx = _by_slot(np.flatnonzero(gap), slots)
+        free_on_path = dist[idx] - _occupied_before(cp, cpos[idx], dist[idx], m)
+        for i, f in zip(idx, free_on_path):
             s = int(slots[i])
             report.violations.append(Violation(
                 s, REACHABILITY_GAP,

@@ -70,7 +70,7 @@ def _check_compact(table: CompactTable) -> ViolationReport:
     step = table.params.step
     pc = np.frombuffer(table._probe_counts, dtype=np.int64)
     keys = np.frombuffer(table._keys, dtype=np.int64)
-    busy = pc > 0
+    busy = pc != 0
     report = ViolationReport()
 
     live = int(busy.sum())
@@ -85,9 +85,10 @@ def _check_compact(table: CompactTable) -> ViolationReport:
     j = pc[slots]
     kb = keys[slots]
 
-    bad_range = j > m
+    bad_range = (j < 1) | (j > m)
     for s in slots[bad_range]:
-        report.violations.append(Violation(int(s), SLOT_INCONSISTENT, f"probe_count {int(pc[s])} exceeds capacity {m}"))
+        detail = f"exceeds capacity {m}" if pc[s] > m else "is negative"
+        report.violations.append(Violation(int(s), SLOT_INCONSISTENT, f"probe_count {int(pc[s])} {detail}"))
     if bad_range.any():
         keep = ~bad_range
         slots, j, kb = slots[keep], j[keep], kb[keep]

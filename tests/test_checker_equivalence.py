@@ -4,16 +4,21 @@ Hypothesis builds tables of both kinds at every capacity from 1 to 257
 and every step coprime with it, with growth on and off, runs random
 operations, corrupts up to three fields, and requires both checkers to
 return the same report: the same violations in the same order with the
-same detail strings.
+same detail strings. Fixed step-3 tables on each side of the occupied count
+where the checker switches from sorting cycle positions to gathering
+the table into cycle order cover both ways of finding them.
 """
 
 from math import gcd
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from compacthash import (BUSY, DELETED, FREE, CompactTable, TableFullError, TableParams,
                          TombstoneTable, check_invariants)
+from compacthash.introspect import _SORT_DIVISOR
 from compacthash.probing import KEY_MAX, KEY_MIN
 
 import prefix_sum_checker
@@ -85,6 +90,59 @@ def test_reports_equal_the_prefix_sum_checker(kind, shape, growth, fill, rng, op
                 pass
         else:
             t.remove(key)
+    for _ in range(corruptions):
+        _corrupt(data, t)
+    new = check_invariants(t).to_json_dict()
+    assert new == prefix_sum_checker.check_invariants(t).to_json_dict()
+
+
+M = 257
+CROSSOVER = M // _SORT_DIVISOR
+
+
+def _step3_table(kind, occupied):
+    """A step-3 table with exactly occupied occupied slots.
+
+    In a tombstone table a third of them hold tombstones.
+    """
+    t = kind(TableParams(M, 3))
+    # the keys share four homes, so their probe paths run many slots long,
+    # and slots 0, 1 and 2 start three paths that interleave in slot order
+    rng = random.Random(occupied)
+    keys = [rng.choice((0, 1, 2, 130)) + M * i for i in range(occupied)]
+    for key in keys:
+        t.insert(key)
+    if kind is TombstoneTable:
+        for key in keys[::3]:
+            t.remove(key)
+    return t
+
+
+STEP3_TABLES = {
+    "compact-below": (CompactTable, CROSSOVER - 1),
+    "compact-at": (CompactTable, CROSSOVER),
+    "tombstone-below": (TombstoneTable, CROSSOVER - 1),
+    "tombstone-at": (TombstoneTable, CROSSOVER),
+    "tombstone-saturated": (TombstoneTable, M - 1),
+}
+
+
+@pytest.mark.parametrize("name", STEP3_TABLES)
+def test_step3_tables_around_the_crossover_pass(name):
+    kind, occupied = STEP3_TABLES[name]
+    t = _step3_table(kind, occupied)
+    marks = t._probe_counts if kind is CompactTable else t._states
+    assert sum(1 for mark in marks if mark) == occupied
+    report = check_invariants(t)
+    assert report.passed
+    assert report.to_json_dict() == prefix_sum_checker.check_invariants(t).to_json_dict()
+
+
+@pytest.mark.parametrize("name", STEP3_TABLES)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_corrupted_step3_tables_around_the_crossover(name, corruptions, data):
+    t = _step3_table(*STEP3_TABLES[name])
     for _ in range(corruptions):
         _corrupt(data, t)
     new = check_invariants(t).to_json_dict()

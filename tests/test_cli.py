@@ -196,14 +196,17 @@ class TestBench:
     (("fuzz", "--universe", "abc"), None),
     (("fuzz", "--universe", "5"), None),
     (("fuzz", "--universe", "7:3"), None),
+    (("fuzz", "--seed-count", "40", "--capacity", "17", "--ops", "5",
+      "--universe", "9223372036854775707:9223372036854775809"), None),
+    (("fuzz", "--universe", "0:18446744073709551616"), None),
     (("bench", "--batch", "-1"), None),
     (("bench", "--rounds", "-1"), None),
     (("bench", "--batch", "-1", "--adversarial"), None),
 ], ids=["capacity-header", "step-header", "key-2^63", "trace-overfull-compact",
         "trace-overfull-tombstone", "trace-not-utf8", "fuzz-ops-0", "fuzz-check-every-0",
         "fuzz-seed-count-0", "fuzz-seed-count-neg", "fuzz-universe-abc", "fuzz-universe-5",
-        "fuzz-universe-empty", "bench-batch-neg", "bench-rounds-neg",
-        "adversarial-batch-neg"])
+        "fuzz-universe-empty", "fuzz-universe-past-key-max", "fuzz-universe-2^64",
+        "bench-batch-neg", "bench-rounds-neg", "adversarial-batch-neg"])
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, trace_text):
     path = tmp_path / "ops.trace"
     if isinstance(trace_text, bytes):

@@ -72,6 +72,16 @@ class TestCheckInvariants:
         report = check(t)
         assert (SLOT_INCONSISTENT, 0) in kinds_at(report)
 
+    def test_negative_probe_count_is_busy_and_inconsistent(self):
+        # every walk treats a nonzero count as busy: 11 is found though len() is 0
+        t = compact(8)
+        t._probe_counts[3] = -1
+        t._keys[3] = 11
+        assert 11 in t and len(t) == 0
+        assert check(t).to_json_dict()["violations"] == [
+            {"slot_index": -1, "kind": COUNT_MISMATCH, "detail": "live_count 0 but 1 busy slots"},
+            {"slot_index": 3, "kind": SLOT_INCONSISTENT, "detail": "probe_count -1 is negative"}]
+
     def test_tombstone_free_slot_on_path(self):
         t = tombstone(7, keys=[7, 14])
         t.remove(7)
