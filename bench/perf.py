@@ -1,16 +1,18 @@
 """Wall time of the verification layer and the workload generation layer.
 
-    PYTHONPATH=src python bench/perf.py --label change --out BENCH_6.json
+    PYTHONPATH=src python bench/perf.py --label change --out BENCH_9.json
 
 builds a grid of 65,536-slot tables and times check_invariants and
 probe_stats on each: both table kinds at loads 0.02, 0.25, 0.5 and 0.9
 and at 100, 4,095 and 4,096 keys, at steps 1 and 3, plus a saturated
 tombstone table: every slot but one non-FREE, keys at load 0.02 only.
-100 keys is the fuzz-checked workload's shape; 4,095 and 4,096 lie on
-each side of capacity / 16 occupied slots, where the checker switches
-from sorting cycle positions to gathering the table into cycle order.
-Each figure is the median of 41 calls after one untimed call. The
-tables are the same on every run: keys come from a seeded generator.
+100 keys is the fuzz-checked workload's shape; 4,095 and 4,096 keys,
+about capacity / 16, are sparse tables beside the denser load points.
+One more point is the tombstone table a default `compacthash bench`
+leaves after round 25, 32,768 BUSY and 32,767 DELETED slots at step 1:
+the shape the churn workload calls probe_stats on. Each figure is the
+median of 41 calls after one untimed call. The tables are the same on
+every run: keys come from seeded generators.
 
 The generation layer is timed as seconds of generate_workload per
 100,000 ops, for the fuzz-bulk spec (100,000 base ops) and for a spec
@@ -36,14 +38,17 @@ from pathlib import Path
 
 import numpy as np
 
-from compacthash import (CompactTable, SplitMix64, TableParams, TombstoneTable, WorkloadSpec,
-                         check_invariants, generate_workload, probe_stats)
+from compacthash import (CompactTable, SplitMix64, TableFullError, TableParams, TombstoneTable,
+                         WorkloadSpec, check_invariants, generate_workload, probe_stats)
+from compacthash.harness import LiveKeys
+from compacthash.probing import KEY_MIN
 
 CAPACITY = 1 << 16
 LOADS = (0.02, 0.25, 0.5, 0.9)
 KEY_COUNTS = (100, CAPACITY // 16 - 1, CAPACITY // 16)
 STEPS = (1, 3)
 SATURATED_LOAD = 0.02
+BENCH_ROUNDS = 25  # churn rounds replayed for the bench-churned point
 CALLS = 41  # timed calls per grid point
 BASELINE = "parent"  # label the summary divides every other label by
 GEN_RUNS = 11  # timed runs per generation figure
@@ -80,6 +85,28 @@ def _saturated(step: int) -> TombstoneTable:
     return t
 
 
+def _bench_churned() -> TombstoneTable:
+    """The tombstone table of a default compacthash bench after BENCH_ROUNDS rounds.
+
+    Replays the bench's key stream: seed 0, CAPACITY // 2 live keys, and
+    batches of CAPACITY // 4 removes then CAPACITY // 4 inserts per round.
+    """
+    t = TombstoneTable(TableParams(CAPACITY, 1))
+    next_u64 = SplitMix64(0).next_u64
+    live = LiveKeys()
+    for _ in range(CAPACITY // 2):
+        t.insert(live.add_fresh(next_u64, KEY_MIN, 1 << 64))
+    for _ in range(BENCH_ROUNDS):
+        for _ in range(CAPACITY // 4):
+            t.remove(live.pick(next_u64()))
+        for _ in range(CAPACITY // 4):
+            try:
+                t.insert(live.add_fresh(next_u64, KEY_MIN, 1 << 64))
+            except TableFullError:
+                pass
+    return t
+
+
 def grid():
     sizes = [(f"load{load}", round(load * CAPACITY)) for load in LOADS]
     sizes += [(f"keys{count}", count) for count in KEY_COUNTS]
@@ -88,6 +115,7 @@ def grid():
             for kind, name in ((CompactTable, "compact"), (TombstoneTable, "tombstone")):
                 yield f"{name}/step{step}/{size}", lambda k=kind, s=step, n=count: _filled(k, s, n)
         yield f"tombstone-saturated/step{step}/load{SATURATED_LOAD}", lambda s=step: _saturated(s)
+    yield f"tombstone-bench-churned/step1/round{BENCH_ROUNDS}", _bench_churned
 
 
 def median_s(fn, runs: int) -> float:

@@ -8,28 +8,29 @@ Everything here is read-only over a quiescent table and vectorized with
 numpy over zero-copy views of the slot arrays, which keeps per-operation
 invariant checking affordable inside differential runs.
 
+Both the checker and probe_stats work on one list: cp, the sorted
+probe-cycle positions of the occupied slots (slots with a nonzero probe
+count in a compact table, non-FREE slots in a tombstone table). Slot s
+lies at cycle position s * step^-1 mod m, so at step != 1 cp is computed
+and sorted, and at step 1 it is the occupied slots themselves.
+
 Reachability (Knuth, TAOCP Vol. 3, 6.4, Algorithm R: a key is found iff
 no empty slot lies between its home and its slot) is a predecessor test
-on probe-cycle positions. Let cp be the sorted cycle positions of the
-occupied slots (slots with a nonzero probe count in a compact table,
-non-FREE slots in a tombstone table) and rank a key's index in cp. The
-d path positions before the key are all occupied iff the d-th occupied
-position before it, cp[rank - d] taken cyclically, lies exactly d steps
-back: O(1) per key, with no prefix sums. Only a key that fails the test
-has its occupied path positions counted, for the report. Duplicate keys
-are screened with one sort; the stable argsort that names the reported
-slots runs only when the screen finds a repeat.
+on cp. Let rank be a key's index in cp. The d path positions before the
+key are all occupied iff the d-th occupied position before it,
+cp[rank - d] taken cyclically, lies exactly d steps back: O(1) per key,
+with no prefix sums. Only a key that fails the test has its occupied
+path positions counted, for the report. Duplicate keys are screened
+with one sort; the stable argsort that names the reported slots runs
+only when the screen finds a repeat. probe_stats reads its cluster
+lengths and its exact mean miss cost from the runs of consecutive
+positions in cp.
 
 A passing check costs one O(capacity) scan of the table, the compare
 and flatnonzero that find its occupied slots, plus a handful of numpy
 calls over the occupied slots, each O(n) or O(n log n). Every pass/fail
 screen settles with one count_nonzero, and detail strings are built
-only after a screen fails. At step != 1 a count of the occupied slots
-picks how their cycle positions are found: a sort of their positions
-while fewer than capacity / _SORT_DIVISOR are occupied, and otherwise
-one more O(capacity) pass, a gather of the marks into cycle order.
-Non-FREE slots can far outnumber keys, and the gather then costs less
-than the sort.
+only after a screen fails.
 """
 
 from dataclasses import dataclass, field
@@ -99,36 +100,6 @@ class ProbeStats:
         }
 
 
-# Cycle-order index maps, keyed by (capacity, step). sigma[t] is the slot
-# visited at position t of the shared probe cycle; pos is its inverse.
-_CYCLE_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-# At step != 1, a table with fewer than m / _SORT_DIVISOR occupied slots
-# gets its occupied cycle positions by a sort, a fuller one by an O(m)
-# gather (see _cycle_occupied). Timed with each method forced on the
-# bench/perf.py step-3 tables, the two break even at about m/16 for both
-# kinds at m = 2^20 and for compact tables at m = 2^16. Tombstone tables
-# at m = 2^16 break even nearer m/12; at m/16 the gather costs them 5-10%
-# more than a sort would.
-_SORT_DIVISOR = 16
-
-
-def _cycle_maps(m: int, step: int) -> tuple[np.ndarray, np.ndarray]:
-    found = _CYCLE_CACHE.get((m, step))
-    if found is None:
-        if step % m == 1:
-            sigma = pos = np.arange(m, dtype=np.int64)
-        else:
-            sigma = np.arange(m, dtype=np.int64) * step % m
-            pos = np.empty(m, dtype=np.int64)
-            pos[sigma] = np.arange(m, dtype=np.int64)
-        found = (sigma, pos)
-        if len(_CYCLE_CACHE) > 64:
-            _CYCLE_CACHE.clear()
-        _CYCLE_CACHE[(m, step)] = found
-    return found
-
-
 def check_invariants(table: AnyTable) -> ViolationReport:
     """Verify every structural invariant of the given table.
 
@@ -143,35 +114,26 @@ def check_invariants(table: AnyTable) -> ViolationReport:
     raise TypeError(f"unsupported table type {type(table).__name__}")
 
 
-def _cycle_order(per_slot: np.ndarray, step: int) -> np.ndarray:
-    """A per-slot array reindexed by probe-cycle position (itself at step 1)."""
-    if step == 1:
-        return per_slot
-    # sigma is in range by construction; "clip" only skips the bounds check
-    return np.take(per_slot, _cycle_maps(per_slot.size, step)[0], mode="clip")
+def _occupied_in_cycle(occupied: np.ndarray, marks: np.ndarray,
+                       step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The occupied slots in probe-cycle order: (cp, slots, marks[slots]).
 
-
-def _cycle_occupied(occupied: np.ndarray, marks: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted probe-cycle positions of the occupied slots, and their marks in that order.
-
-    occupied is a boolean mask over the slots, and marks a one-byte
-    per-slot array that is nonzero exactly where occupied is set. Returns
-    (cp, marks[sigma[cp]]). At step != 1 a table with fewer than
-    m / _SORT_DIVISOR occupied slots gets cp by sorting their positions,
-    O(n log n); a fuller one by one gather of its marks into cycle order,
-    O(m).
+    occupied is a boolean mask over the slots and marks a per-slot array.
+    Slot s lies at cycle position s * step^-1 mod m; cp holds the sorted
+    positions of the occupied slots, slots the slot at each of them
+    (cp * step mod m). At step 1 both are the occupied slots.
     """
-    if step == 1:
-        cp = np.flatnonzero(occupied)
-        return cp, marks[cp]
-    m = occupied.size
-    sigma, pos = _cycle_maps(m, step)
-    if np.count_nonzero(occupied) < m // _SORT_DIVISOR:
-        cp = np.sort(pos[np.flatnonzero(occupied)])
-        return cp, marks[sigma[cp]]
-    by_pos = _cycle_order(marks, step)
-    cp = np.flatnonzero(by_pos != 0)
-    return cp, by_pos[cp]
+    slots = np.flatnonzero(occupied)
+    cp = slots
+    if step != 1:
+        m = occupied.size
+        # here and in the tombstone home positions (kb % m * inverse, taken
+        # mod m together with the distance to the key's position), both
+        # factors lie below m, as d and step do in _check_compact's d * step:
+        # every product stays below m^2, inside int64 while m < 3 * 10^9
+        cp = np.sort(slots * pow(step, -1, m) % m)
+        slots = cp * step % m
+    return cp, slots, marks[slots]
 
 
 def _path_gap(cp: np.ndarray, cpos: np.ndarray, rank: np.ndarray, d: np.ndarray, m: int) -> np.ndarray:
@@ -227,8 +189,7 @@ def _check_compact(table: CompactTable) -> ViolationReport:
     pc = np.frombuffer(table._probe_counts, dtype=np.int64)
     keys = np.frombuffer(table._keys, dtype=np.int64)
     # every nonzero count marks a busy slot, as it does for the table's walks
-    busy = pc != 0
-    cp, _ = _cycle_occupied(busy, busy.view(np.int8), step)
+    cp, slots, counts = _occupied_in_cycle(pc != 0, pc, step)
     report = ViolationReport()
 
     live = cp.size
@@ -239,9 +200,8 @@ def _check_compact(table: CompactTable) -> ViolationReport:
     if live == 0:
         return report
 
-    slots = cp if step == 1 else _cycle_maps(m, step)[0][cp]
     kb = keys[slots]
-    d = pc[slots] - 1  # path slots before each key
+    d = counts - 1  # path slots before each key
     # a count outside 1..m, negative ones included, is a d of m or more as uint64
     bad_range = d.view(np.uint64) >= m
     if np.count_nonzero(bad_range):
@@ -286,15 +246,14 @@ def _check_tombstone(table: TombstoneTable) -> ViolationReport:
     st = np.frombuffer(table._states, dtype=np.int8)
     keys = np.frombuffer(table._keys, dtype=np.int64)
     # invalid states block no path, as DELETED ones do
-    cp, marks = _cycle_occupied(st != FREE, st, step)
-    sigma, pos = _cycle_maps(m, step)
+    cp, slots, marks = _occupied_in_cycle(st != FREE, st, step)
     report = ViolationReport()
 
     # FREE is 0 and DELETED the largest state, so as bytes every invalid
     # state, negative ones included, compares above DELETED
     invalid = marks.view(np.uint8) > DELETED
     if np.count_nonzero(invalid):
-        for s in np.sort(sigma[cp[invalid]]):
+        for s in np.sort(slots[invalid]):
             report.violations.append(Violation(int(s), SLOT_INCONSISTENT, f"invalid state {int(st[s])}"))
 
     rank = np.flatnonzero(marks == BUSY)
@@ -310,12 +269,11 @@ def _check_tombstone(table: TombstoneTable) -> ViolationReport:
     if live == 0:
         return report
 
-    cpos = cp[rank]
-    slots = sigma[cpos]  # BUSY slots in cycle order
+    cpos, slots = cp[rank], slots[rank]  # BUSY slots in cycle order
     kb = keys[slots]
     report.violations.extend(_dup_violations(kb, slots))
 
-    dist = (cpos - pos[kb % m]) % m
+    dist = (cpos - kb % m * pow(step, -1, m)) % m
     gap = _path_gap(cp, cpos, rank, dist, m)
     if np.count_nonzero(gap):
         idx = _by_slot(np.flatnonzero(gap), slots)
@@ -344,17 +302,15 @@ def probe_stats(table: AnyTable) -> ProbeStats:
     step = table.params.step
     if isinstance(table, CompactTable):
         pc = np.frombuffer(table._probe_counts, dtype=np.int64)
-        occupied = pc > 0
-        costs = pc[occupied]
+        cp, _, costs = _occupied_in_cycle(pc > 0, pc, step)
         tombstones = 0
     elif isinstance(table, TombstoneTable):
         st = np.frombuffer(table._states, dtype=np.int8)
         keys = np.frombuffer(table._keys, dtype=np.int64)
-        slots = np.flatnonzero(st == BUSY)
-        _, pos = _cycle_maps(m, step)
-        costs = (pos[slots] - pos[keys[slots] % m]) % m + 1
-        occupied = st != FREE
-        tombstones = int(np.count_nonzero(st == DELETED))
+        cp, slots, marks = _occupied_in_cycle(st != FREE, st, step)
+        rank = np.flatnonzero(marks == BUSY)
+        costs = (cp[rank] - keys[slots[rank]] % m * pow(step, -1, m)) % m + 1
+        tombstones = int(np.count_nonzero(marks == DELETED))
     else:
         raise TypeError(f"unsupported table type {type(table).__name__}")
 
@@ -367,52 +323,27 @@ def probe_stats(table: AnyTable) -> ProbeStats:
         histogram = {}
         mean_success = 0.0
         max_probe = 0
-    in_cycle = _cycle_order(occupied, step)
+    # runs of consecutive cycle positions; one that wraps the end of the
+    # cycle is merged into the last, because its true start lies near the end
+    n = cp.size
+    starts = np.flatnonzero(np.diff(cp, prepend=-2) != 1)
+    runs = np.diff(starts, append=n)
+    if runs.size > 1 and cp[0] == 0 and cp[-1] == m - 1:
+        runs[-1] += runs[0]
+        runs = runs[1:]
+    # a miss examines every position up to the first open one at or after
+    # its home: each of the m - n open homes costs 1, and the r homes of a
+    # run cost r + 1, r, ..., 2, which sum to r(r + 3)/2
+    if n < m:
+        mean_miss = float((m - n + (runs * (runs + 3) // 2).sum()) / m)
+    else:
+        mean_miss = float("inf")  # unreachable through public ops (occupancy cap)
     return ProbeStats(
         histogram=histogram,
         mean_success=mean_success,
-        mean_miss=_mean_miss(in_cycle),
+        mean_miss=mean_miss,
         max_probe=max_probe,
-        cluster_lengths=_cluster_lengths(in_cycle),
+        cluster_lengths=runs.tolist(),
         load_factor=len(table) / m,
         tombstone_count=tombstones,
     )
-
-
-def _mean_miss(occupied: np.ndarray) -> float:
-    """Average unsuccessful-lookup cost over all m home positions.
-
-    occupied is indexed by cycle position. A miss from home h examines
-    every position up to and including the first open one at or after h,
-    so the L homes of the stretch that ends at an open position cost
-    1, 2, ..., L: a sum of L(L+1)/2 per stretch, exact in integers.
-    """
-    m = occupied.size
-    open_pos = np.flatnonzero(~occupied)
-    if not open_pos.size:
-        return float("inf")  # unreachable through public ops (occupancy cap)
-    stretch = np.diff(open_pos, append=open_pos[0] + m)
-    return float((stretch * (stretch + 1) // 2).sum() / m)
-
-
-def _cluster_lengths(occupied: np.ndarray) -> list[int]:
-    """Lengths of maximal cyclic runs of occupied slots in probe-cycle order.
-
-    occupied is indexed by cycle position, so a run is a stretch of slots
-    that probe sequences visit one after another (consecutive slots only
-    when step is 1). A run wrapping the end of the cycle is reported once;
-    it is listed last because its true start lies near the end.
-    """
-    m = occupied.size
-    if not occupied.any():
-        return []
-    if occupied.all():
-        return [m]
-    # positions where occupancy flips, with open ends before and after:
-    # run starts and run ends alternate
-    flips = np.flatnonzero(np.diff(occupied, prepend=False, append=False))
-    lengths = (flips[1::2] - flips[::2]).tolist()
-    if occupied[0] and occupied[m - 1]:
-        lengths[-1] += lengths[0]
-        lengths.pop(0)
-    return lengths

@@ -4,9 +4,10 @@ Hypothesis builds tables of both kinds at every capacity from 1 to 257
 and every step coprime with it, with growth on and off, runs random
 operations, corrupts up to three fields, and requires both checkers to
 return the same report: the same violations in the same order with the
-same detail strings. Fixed step-3 tables on each side of the occupied count
-where the checker switches from sorting cycle positions to gathering
-the table into cycle order cover both ways of finding them.
+same detail strings. Fixed step-3 tables whose probe paths interleave in
+slot order, sparse to saturated, and a table at a prime capacity above
+2^20 with step m - 2, whose cycle positions need a large inverse, are
+checked clean and corrupted.
 """
 
 from math import gcd
@@ -18,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from compacthash import (BUSY, DELETED, FREE, CompactTable, TableFullError, TableParams,
                          TombstoneTable, check_invariants)
-from compacthash.introspect import _SORT_DIVISOR
 from compacthash.probing import KEY_MAX, KEY_MIN
 
 import prefix_sum_checker
@@ -97,7 +97,9 @@ def test_reports_equal_the_prefix_sum_checker(kind, shape, growth, fill, rng, op
 
 
 M = 257
-CROSSOVER = M // _SORT_DIVISOR
+# 15 and 16 occupied slots: the densities on each side of a sort/gather
+# switch the checker once made at M / 16, kept as sparse step-3 cases
+CROSSOVER = M // 16
 
 
 def _step3_table(kind, occupied):
@@ -145,5 +147,43 @@ def test_corrupted_step3_tables_around_the_crossover(name, corruptions, data):
     t = _step3_table(*STEP3_TABLES[name])
     for _ in range(corruptions):
         _corrupt(data, t)
+    new = check_invariants(t).to_json_dict()
+    assert new == prefix_sum_checker.check_invariants(t).to_json_dict()
+
+
+BIG_M = 1_048_583  # prime
+
+
+def _big_table(kind):
+    """A step m - 2 table whose keys share four homes.
+
+    Slot 2 lies at the last cycle position and slot 0 at the first, so
+    the cluster from home 2 wraps the end of the cycle. In a tombstone
+    table a third of the keys are removed.
+    """
+    t = kind(TableParams(BIG_M, BIG_M - 2))
+    keys = [home + BIG_M * i for home in (2, 0, 1, 3) for i in range(5)]
+    for key in keys:
+        t.insert(key)
+    if kind is TombstoneTable:
+        for key in keys[::3]:
+            t.remove(key)
+    return t
+
+
+@pytest.mark.parametrize("kind", [CompactTable, TombstoneTable])
+def test_big_prime_table_passes(kind):
+    t = _big_table(kind)
+    report = check_invariants(t)
+    assert report.passed
+    assert report.to_json_dict() == prefix_sum_checker.check_invariants(t).to_json_dict()
+
+
+@pytest.mark.parametrize("kind", [CompactTable, TombstoneTable])
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_corrupted_big_prime_table(kind, data):
+    t = _big_table(kind)
+    _corrupt(data, t)
     new = check_invariants(t).to_json_dict()
     assert new == prefix_sum_checker.check_invariants(t).to_json_dict()

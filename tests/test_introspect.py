@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compacthash import (COUNT_MISMATCH, DUPLICATE_KEY, FREE, REACHABILITY_GAP,
-                         SLOT_INCONSISTENT, CompactTable, TableParams, TombstoneTable,
-                         check_invariants, probe_stats)
+                         SLOT_INCONSISTENT, CompactTable, TableFullError, TableParams,
+                         TombstoneTable, check_invariants, probe_stats)
 
 import prefix_sum_checker
 
@@ -211,13 +211,16 @@ class TestProbeStats:
                           "cluster_lengths", "load_factor", "tombstone_count"}
 
 
+def open_slots(table):
+    if isinstance(table, CompactTable):
+        return [table.slot(i).probe_count == 0 for i in range(table.capacity)]
+    return [table.slot(i).state == FREE for i in range(table.capacity)]
+
+
 def brute_mean_miss(table):
     m = table.capacity
     step = table.params.step
-    if isinstance(table, CompactTable):
-        is_open = [table.slot(i).probe_count == 0 for i in range(m)]
-    else:
-        is_open = [table.slot(i).state == FREE for i in range(m)]
+    is_open = open_slots(table)
     total = 0
     for home in range(m):
         i, n = home, 1
@@ -228,16 +231,43 @@ def brute_mean_miss(table):
     return total / m
 
 
+def brute_cluster_lengths(table):
+    """Cyclic runs of occupied slots, walked in probe-cycle order from slot 0.
+
+    Runs are listed by the cycle position they start at, so a run that
+    wraps the end of the cycle comes last.
+    """
+    m = table.capacity
+    step = table.params.step
+    slot_open = open_slots(table)
+    is_open = [slot_open[j * step % m] for j in range(m)]
+    if not any(is_open):
+        return [m]
+    runs = []
+    for start in range(m):
+        if not is_open[start] and is_open[start - 1]:
+            length = 1
+            while not is_open[(start + length) % m]:
+                length += 1
+            runs.append(length)
+    return runs
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from("aar"), st.integers(0, 11)), max_size=60),
-       st.sampled_from([(13, 1), (13, 5), (16, 3)]))
+       st.sampled_from([(13, 1), (13, 5), (16, 3), (1, 5), (2, 1)]))
 def test_mean_miss_matches_brute_force_walk(ops, shape):
     capacity, step = shape
     for make in (compact, tombstone):
         t = make(capacity, step)
         for kind, key in ops:
-            (t.insert if kind == "a" else t.remove)(key)
-        assert probe_stats(t).mean_miss == pytest.approx(brute_mean_miss(t))
+            try:
+                (t.insert if kind == "a" else t.remove)(key)
+            except TableFullError:
+                pass
+        stats = probe_stats(t)
+        assert stats.mean_miss == pytest.approx(brute_mean_miss(t))
+        assert stats.cluster_lengths == brute_cluster_lengths(t)
 
 
 @settings(max_examples=100, deadline=None)
