@@ -1,6 +1,6 @@
-"""Wall time of the verification layer and the workload generation layer.
+"""Wall time of the verification, workload generation and differential layers.
 
-    PYTHONPATH=src python bench/perf.py --label change --out BENCH_9.json
+    PYTHONPATH=src python bench/perf.py --label change --out BENCH_10.json
 
 builds a grid of 65,536-slot tables and times check_invariants and
 probe_stats on each: both table kinds at loads 0.02, 0.25, 0.5 and 0.9
@@ -18,7 +18,15 @@ The generation layer is timed as seconds of generate_workload per
 100,000 ops, for the fuzz-bulk spec (100,000 base ops) and for a spec
 whose churn rounds make up half its ops, and as nanoseconds per
 SplitMix64.next_u64 draw over 200,000 draws. Each figure is the median
-of 11 runs after one untimed run.
+of 11 runs after one untimed run. Each generate_workload figure also
+records gc_collections, the collections per generation (0, 1, 2) that
+the cyclic garbage collector started during the untimed run, read from
+gc.get_stats().
+
+The differential layer is timed as seconds of run_differential per
+100,000 ops, on the fuzz-bulk spec's ops at steps 1 and 3 with the
+invariant checker run once, after the last op: the median of 11 runs
+after one untimed run, whose verdict must pass.
 
 Each run is added to --out under --label, beside the runs already there,
 so running the script once with another checkout's src on PYTHONPATH
@@ -29,6 +37,7 @@ the file, the parent's median divided by each other label's.
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -39,7 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from compacthash import (CompactTable, SplitMix64, TableFullError, TableParams, TombstoneTable,
-                         WorkloadSpec, check_invariants, generate_workload, probe_stats)
+                         WorkloadSpec, check_invariants, generate_workload, probe_stats,
+                         run_differential)
 from compacthash.harness import LiveKeys
 from compacthash.probing import KEY_MIN
 
@@ -52,6 +62,7 @@ BENCH_ROUNDS = 25  # churn rounds replayed for the bench-churned point
 CALLS = 41  # timed calls per grid point
 BASELINE = "parent"  # label the summary divides every other label by
 GEN_RUNS = 11  # timed runs per generation figure
+DIFF_RUNS = 11  # timed runs per run_differential figure
 MIX = (0.45, 0.35, 0.20)
 UNIVERSE = (0, 2 * CAPACITY)
 GEN_SPECS = {
@@ -139,13 +150,32 @@ def _draw_all() -> None:
         next_u64()
 
 
+def _collections() -> list[int]:
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
 def generation_rows() -> dict:
     rows = {}
     for point, spec in GEN_SPECS.items():
+        before = _collections()
         ops = len(generate_workload(spec))
-        rows[point] = {"ops": ops,
+        started = [after - b for after, b in zip(_collections(), before)]
+        rows[point] = {"ops": ops, "gc_collections": started,
                        "s_per_100k_ops": round(median_s(lambda: generate_workload(spec), GEN_RUNS) * 1e5 / ops, 4)}
     rows["splitmix64/next_u64"] = {"draws": DRAWS, "ns_per_draw": round(median_s(_draw_all, GEN_RUNS) * 1e9 / DRAWS, 1)}
+    return rows
+
+
+def differential_rows() -> dict:
+    ops = generate_workload(GEN_SPECS["generate_workload/fuzz-bulk"])
+    rows = {}
+    for step in STEPS:
+        params = TableParams(CAPACITY, step)
+        if not run_differential(ops, params, check_every=len(ops)).passed:
+            raise SystemExit(f"run_differential/fuzz-bulk/step{step}: the verdict fails")
+        seconds = median_s(lambda: run_differential(ops, params, check_every=len(ops)), DIFF_RUNS)
+        rows[f"run_differential/fuzz-bulk/step{step}"] = {"ops": len(ops),
+                                                          "s_per_100k_ops": round(seconds * 1e5 / len(ops), 4)}
     return rows
 
 
@@ -162,7 +192,7 @@ def run() -> dict:
             "probe_stats_ms": median_ms(probe_stats, t),
         }
         print(point, rows[point], flush=True)
-    for point, row in generation_rows().items():
+    for point, row in (generation_rows() | differential_rows()).items():
         rows[point] = row
         print(point, row, flush=True)
     return rows

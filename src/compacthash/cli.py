@@ -235,7 +235,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--ops", type=int, default=100_000)
     fuzz.add_argument("--check-every", type=int, default=1000,
                       help="run the invariant checker every N ops (1 = after every op)")
-    fuzz.add_argument("--universe", default=None, help="key universe 'lo:hi' (default 0:2*capacity)")
+    fuzz.add_argument("--universe", default=None,
+                      help="key universe 'lo:hi' (default 0:2*capacity); write a negative lo with '=', "
+                           "as in --universe=-64:64, or it is read as a flag")
     fuzz.add_argument("--out-dir", default="fuzz-out")
     fuzz.set_defaults(func=cmd_fuzz)
 

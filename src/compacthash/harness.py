@@ -7,12 +7,17 @@ function of s + i * gamma mod 2**64. A block of draws is therefore one
 wrapping numpy uint64 expression; the base phase of a workload is
 built 4,096 draws at a time, and SplitMix64 hands out further draws
 from blocks it refills. Identical specs yield identical operation
-sequences forever. The differential runner applies every operation to
-a compact table, a tombstone table, and a plain Python set, comparing
-all three return values and periodically running the structural
-invariant checker.
+sequences forever. generate_workload builds its records with the cyclic
+garbage collector paused: OpRecord is a tuple subclass, which CPython
+never untracks, so collections triggered by the build itself would walk
+every record built so far. The pause is process-wide and the caller's
+collector state is restored on return or raise. The differential runner
+applies every operation to a compact table, a tombstone table, and a
+plain Python set, comparing all three return values and periodically
+running the structural invariant checker.
 """
 
+import gc
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Union
@@ -151,6 +156,11 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
     that point of the sequence (tracked by replaying set semantics), so
     churn genuinely exercises deletion; churn additions draw until they
     find a key that is not currently live.
+
+    The cyclic garbage collector is paused while the records are built,
+    because CPython never untracks tuple subclasses such as OpRecord. The
+    pause is process-wide; the collector's previous state (enabled or
+    not) is restored on return or raise.
     """
     lo, hi = spec.key_universe
     if hi <= lo:
@@ -172,6 +182,17 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
     thresholds = [np.uint64(t) for t in (t_add, t_contains) if t <= _MASK64]
     span = hi - lo
 
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _expand(spec, thresholds, lo, span)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _expand(spec: WorkloadSpec, thresholds: list[np.uint64], lo: int, span: int) -> list[OpRecord]:
+    """The records of a validated spec: the base phase, then the churn replay."""
     # the base phase goes a block of draws at a time, so its arrays and
     # intermediate lists stay small beside the op list
     n = spec.op_count
@@ -270,8 +291,10 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
     failures: list[InvariantFailure] = []
     divergence = None
 
-    c_insert, c_contains, c_remove = compact.insert, compact.contains, compact.remove
-    t_insert, t_contains, t_remove = tombstone.insert, tombstone.contains, tombstone.remove
+    # insert, contains and remove are *_counted(key)[0]; calling the
+    # counted methods directly saves a Python frame per op and table
+    c_insert, c_contains, c_remove = compact.insert_counted, compact.contains_counted, compact.remove_counted
+    t_insert, t_contains, t_remove = tombstone.insert_counted, tombstone.contains_counted, tombstone.remove_counted
     in_model, model_add, model_discard = model.__contains__, model.add, model.discard
 
     for idx, op in enumerate(ops):
@@ -281,23 +304,23 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
             if o:
                 model_add(key)
             try:
-                c = c_insert(key)
+                c = c_insert(key)[0]
             except TableFullError:
                 c = "TableFull"
             try:
-                t = t_insert(key)
+                t = t_insert(key)[0]
             except TableFullError:
                 t = "TableFull"
         elif kind == CONTAINS:
             o = in_model(key)
-            c = c_contains(key)
-            t = t_contains(key)
+            c = c_contains(key)[0]
+            t = t_contains(key)[0]
         elif kind == REMOVE:
             o = in_model(key)
             if o:
                 model_discard(key)
-            c = c_remove(key)
-            t = t_remove(key)
+            c = c_remove(key)[0]
+            t = t_remove(key)[0]
         else:
             raise ValueError(f"unknown op kind {kind!r} at index {idx}")
         if c is not o or t is not o:

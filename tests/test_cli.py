@@ -39,6 +39,12 @@ class TestFuzz:
         assert verdict["passed"] is False
         assert verdict["first_divergence"] or verdict["invariant_failures"]
 
+    def test_negative_universe_is_given_with_equals(self, capsys):
+        code, out, _ = run(capsys, "fuzz", "--universe=-64:64", "--capacity", "64",
+                           "--ops", "200", "--seed-count", "1")
+        assert code == 0
+        assert out.splitlines() == ["seed 0: ok (200 ops)"]
+
     def test_non_coprime_step_is_usage_error(self, capsys):
         code, _, err = run(capsys, "fuzz", "--capacity", "8", "--step", "2")
         assert code == 2

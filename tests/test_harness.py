@@ -1,9 +1,12 @@
+import gc
 import json
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scalar_splitmix
+from reference_differential import reference_differential
 from compacthash import (ADD, CONTAINS, REMOVE, CompactTable, EmptyKeyUniverseError,
                          OpRecord, SplitMix64, TableParams, TombstoneTable, TraceParseError,
                          WorkloadSpec, format_trace, generate_workload, parse_trace,
@@ -176,6 +179,53 @@ class TestGenerateWorkload:
                 assert hit, f"churn op {i} missed: {op}"
 
 
+MIX = (0.45, 0.35, 0.20)
+LARGE_CHURN_SPEC = WorkloadSpec(0, 50_000, (0, 131072), MIX, churn_rounds=20, churn_batch=500)
+# two keys, both live after the base phase, so the churn replay runs out of fresh keys
+RAISING_CHURN_SPEC = WorkloadSpec(0, 10, (0, 2), (1, 0, 0), churn_rounds=1, churn_batch=5)
+
+
+@pytest.fixture
+def collector_enabled():
+    """Run the test with the cyclic collector enabled; restore its state after."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    def test_no_collection_starts_while_building(self, collector_enabled):
+        started = []
+
+        def hook(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.callbacks.append(hook)
+        try:
+            ops = generate_workload(LARGE_CHURN_SPEC)
+        finally:
+            gc.callbacks.remove(hook)
+        assert len(ops) == 50_000 + 20 * 2 * 500
+        assert started == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_callers_collector_state_comes_back(self, collector_enabled, enabled):
+        if not enabled:
+            gc.disable()
+        generate_workload(WorkloadSpec(0, 100, (0, 64), MIX, churn_rounds=2, churn_batch=5))
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_callers_collector_state_comes_back_after_a_raise(self, collector_enabled, enabled):
+        if not enabled:
+            gc.disable()
+        with pytest.raises(EmptyKeyUniverseError):
+            generate_workload(RAISING_CHURN_SPEC)
+        assert gc.isenabled() is enabled
+
+
 class TestRunDifferential:
     def test_correct_tables_pass(self):
         # universe wider than capacity, so probe chains actually form
@@ -254,6 +304,49 @@ class TestRunDifferential:
     def test_rejects_bad_check_every(self):
         with pytest.raises(ValueError):
             run_differential([], TableParams(7, 1), check_every=0)
+
+
+@st.composite
+def differential_cases(draw):
+    """Ops, params and check_every for both differential loops.
+
+    Every accepted step at capacities 1-17 (at capacity 1 any step is
+    accepted), growth on and off, mixed ops on 15 keys with at most three
+    homes, and all-add sequences of distinct keys, which reach TableFull
+    when growth is off. With compression off, about a fifth of the
+    mixed sequences fail the checker or diverge.
+    """
+    capacity = draw(st.integers(1, 17))
+    steps = [s for s in range(1, capacity) if gcd(s, capacity) == 1] or [1, 2, 5]
+    params = TableParams(capacity, draw(st.sampled_from(steps)), draw(st.booleans()))
+    if draw(st.booleans()):
+        keys = st.sampled_from([home + lap * capacity for lap in range(-2, 3) for home in range(3)])
+        ops = draw(st.lists(st.builds(OpRecord, st.sampled_from([ADD, REMOVE, CONTAINS]), keys),
+                            min_size=8, max_size=4 * capacity + 8))
+    else:
+        keys = st.integers(-2 * capacity - 2, 2 * capacity + 2)
+        ops = [OpRecord(ADD, key) for key in draw(st.lists(keys, min_size=capacity, unique=True))]
+    return ops, params, draw(st.integers(1, 5))
+
+
+def disabled_compress(self, free):
+    return 0, 0
+
+
+@pytest.mark.parametrize("compress", ["on", "off"])
+@settings(max_examples=300, deadline=None)
+@given(case=differential_cases())
+@example(case=([OpRecord(ADD, 7), OpRecord(ADD, 14), OpRecord(REMOVE, 7), OpRecord(CONTAINS, 14)],
+               TableParams(7, 1), 1))
+@example(case=([OpRecord(ADD, 0), OpRecord(ADD, 1), OpRecord(ADD, 2)], TableParams(3, 1), 2))
+def test_run_differential_matches_reference_loop(compress, case):
+    ops, params, check_every = case
+    with pytest.MonkeyPatch.context() as mp:
+        if compress == "off":
+            mp.setattr(CompactTable, "_compress", disabled_compress)
+        got = run_differential(ops, params, check_every).to_json_dict()
+        want = reference_differential(ops, params, check_every).to_json_dict()
+    assert got == want
 
 
 class TestTraceFormat:
