@@ -42,16 +42,15 @@ import json
 import os
 import platform
 import statistics
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from compacthash import (CompactTable, SplitMix64, TableFullError, TableParams, TombstoneTable,
-                         WorkloadSpec, check_invariants, generate_workload, probe_stats,
-                         run_differential)
-from compacthash.harness import LiveKeys
-from compacthash.probing import KEY_MIN
+import compacthash.cli
+from compacthash import (CompactTable, SplitMix64, TableParams, TombstoneTable, WorkloadSpec,
+                         check_invariants, generate_workload, probe_stats, run_differential)
 
 CAPACITY = 1 << 16
 LOADS = (0.02, 0.25, 0.5, 0.9)
@@ -99,23 +98,26 @@ def _saturated(step: int) -> TombstoneTable:
 def _bench_churned() -> TombstoneTable:
     """The tombstone table of a default compacthash bench after BENCH_ROUNDS rounds.
 
-    Replays the bench's key stream: seed 0, CAPACITY // 2 live keys, and
-    batches of CAPACITY // 4 removes then CAPACITY // 4 inserts per round.
+    Runs the bench itself with --rounds BENCH_ROUNDS, through a
+    probe_stats hook that keeps the last tombstone table it sees.
     """
-    t = TombstoneTable(TableParams(CAPACITY, 1))
-    next_u64 = SplitMix64(0).next_u64
-    live = LiveKeys()
-    for _ in range(CAPACITY // 2):
-        t.insert(live.add_fresh(next_u64, KEY_MIN, 1 << 64))
-    for _ in range(BENCH_ROUNDS):
-        for _ in range(CAPACITY // 4):
-            t.remove(live.pick(next_u64()))
-        for _ in range(CAPACITY // 4):
-            try:
-                t.insert(live.add_fresh(next_u64, KEY_MIN, 1 << 64))
-            except TableFullError:
-                pass
-    return t
+    inner = compacthash.cli.probe_stats
+    last = None
+
+    def keep_tombstone(table):
+        nonlocal last
+        if isinstance(table, TombstoneTable):
+            last = table
+        return inner(table)
+
+    compacthash.cli.probe_stats = keep_tombstone
+    try:
+        with tempfile.TemporaryDirectory() as out_dir:
+            if compacthash.cli.main(["bench", "--rounds", str(BENCH_ROUNDS), "--out-dir", out_dir]) != 0:
+                raise SystemExit("compacthash bench failed")
+    finally:
+        compacthash.cli.probe_stats = inner
+    return last
 
 
 def grid():

@@ -17,7 +17,7 @@ from .harness import (ADD, CONTAINS, GENERATOR_ID, REMOVE, Divergence, Invariant
 from .introspect import (COUNT_MISMATCH, DUPLICATE_KEY, REACHABILITY_GAP,
                          SLOT_INCONSISTENT, ProbeStats, Violation, ViolationReport,
                          check_invariants, probe_stats)
-from .probing import TableParams, validate_params
+from .probing import TableParams
 from .tombstone import BUSY, DELETED, FREE, TombstoneSlot, TombstoneTable
 
 __version__ = "0.1.0"
@@ -31,5 +31,5 @@ __all__ = [
     "TableFullError", "TableParams", "TombstoneSlot", "TombstoneTable",
     "TraceParseError", "Verdict", "Violation", "ViolationReport", "WorkloadSpec",
     "ZeroCapacityError", "check_invariants", "format_trace", "generate_workload",
-    "parse_trace", "probe_stats", "run_differential", "validate_params",
+    "parse_trace", "probe_stats", "run_differential",
 ]

@@ -15,7 +15,7 @@ from .errors import CompactHashError, TableFullError, TraceParseError
 from .harness import (GENERATOR_ID, LiveKeys, SplitMix64, WorkloadSpec, format_trace,
                       generate_workload, parse_trace, run_differential)
 from .introspect import probe_stats
-from .probing import KEY_MAX, KEY_MIN, TableParams, validate_params
+from .probing import KEY_MAX, KEY_MIN, TableParams
 from .tombstone import TombstoneTable
 
 CSV_COLUMNS = ("round", "table_kind", "mean_success", "mean_miss", "max_probe",
@@ -57,7 +57,7 @@ def cmd_fuzz(args) -> int:
     if args.ops < 1 or args.check_every < 1 or args.seed_count < 1:
         raise _UsageError(f"--ops, --check-every and --seed-count must be >= 1, "
                           f"got {args.ops}, {args.check_every} and {args.seed_count}")
-    params = validate_params(TableParams(args.capacity, args.step))
+    params = TableParams(args.capacity, args.step)
     # keys must outnumber slots or key % capacity never collides and the
     # fuzz exercises no probe chains at all
     universe = _parse_universe(args.universe) if args.universe else (0, 2 * args.capacity)
@@ -86,11 +86,11 @@ def cmd_trace(args) -> int:
     except (OSError, UnicodeDecodeError) as e:
         raise _UsageError(f"cannot read trace file: {e}") from None
     ops, meta = parse_trace(text)
-    capacity = args.capacity if args.capacity is not None else _header_int(meta, "capacity", 0)
-    if capacity < 1:
+    if args.capacity is None and "capacity" not in meta:
         raise _UsageError("capacity not given and not present in trace headers")
+    capacity = args.capacity if args.capacity is not None else _header_int(meta, "capacity", 0)
     step = args.step if args.step is not None else _header_int(meta, "step", 1)
-    params = validate_params(TableParams(capacity, step))
+    params = TableParams(capacity, step)
     table = CompactTable(params) if args.table == "compact" else TombstoneTable(params)
     apply_op = {"add": table.insert, "contains": table.contains, "remove": table.remove}
     results = [apply_op[op.kind](op.key) for op in ops]
@@ -103,7 +103,7 @@ def cmd_trace(args) -> int:
 def cmd_bench(args) -> int:
     if args.batch < 0 or args.rounds < 0:
         raise _UsageError(f"--batch and --rounds must be >= 0, got {args.batch} and {args.rounds}")
-    params = validate_params(TableParams(args.capacity, args.step))
+    params = TableParams(args.capacity, args.step)
     if args.adversarial:
         return _bench_adversarial(args, params)
     if not 0 < args.live_target < args.capacity - 1:

@@ -27,7 +27,7 @@ import numpy as np
 from .compact import CompactTable
 from .errors import EmptyKeyUniverseError, TableFullError, TraceParseError
 from .introspect import ViolationReport, check_invariants
-from .probing import KEY_MAX, KEY_MIN, TableParams, validate_params
+from .probing import KEY_MAX, KEY_MIN, TableParams
 from .tombstone import TombstoneTable
 
 ADD = "add"
@@ -282,7 +282,6 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
     both tables get a full invariant check; violations are collected and
     the run keeps going (the checker reports, it never aborts).
     """
-    validate_params(params)
     if check_every < 1:
         raise ValueError(f"check_every must be positive, got {check_every}")
     compact = CompactTable(params)

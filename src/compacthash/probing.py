@@ -40,27 +40,24 @@ class TableParams:
     capacity is the number of slots, step the constant probe increment.
     step must be coprime with capacity so that a probe sequence visits
     every slot exactly once per cycle; otherwise insertion could fail on
-    a table that still has room.
+    a table that still has room. Construction raises on an invalid
+    configuration, so every TableParams that exists is valid; at
+    capacity 1 any positive step is accepted.
     """
 
     capacity: int = DEFAULT_CAPACITY
     step: int = 1
     growth_enabled: bool = False
 
-
-def validate_params(params: TableParams) -> TableParams:
-    """Return params unchanged, or raise if any invariant fails.
-
-    Raises ZeroCapacityError, StepOutOfRangeError or StepNotCoprimeError.
-    """
-    m, c = params.capacity, params.step
-    if m < 1:
-        raise ZeroCapacityError(f"capacity must be >= 1, got {m}")
-    if c < 1 or (m > 1 and c >= m):
-        raise StepOutOfRangeError(f"step must satisfy 1 <= step < capacity, got step={c} capacity={m}")
-    if gcd(c, m) != 1:
-        raise StepNotCoprimeError(f"gcd(step={c}, capacity={m}) = {gcd(c, m)}; some slots would be unreachable")
-    return params
+    def __post_init__(self):
+        """Raise ZeroCapacityError, StepOutOfRangeError or StepNotCoprimeError."""
+        m, c = self.capacity, self.step
+        if m < 1:
+            raise ZeroCapacityError(f"capacity must be >= 1, got {m}")
+        if c < 1 or (m > 1 and c >= m):
+            raise StepOutOfRangeError(f"step must satisfy 1 <= step < capacity, got step={c} capacity={m}")
+        if gcd(c, m) != 1:
+            raise StepNotCoprimeError(f"gcd(step={c}, capacity={m}) = {gcd(c, m)}; some slots would be unreachable")
 
 
 class OpenAddressTable:
@@ -85,7 +82,6 @@ class OpenAddressTable:
     __slots__ = ("_params", "_capacity", "_step", "_keys", "_live")
 
     def __init__(self, params: TableParams):
-        validate_params(params)
         self._params = params
         self._capacity = params.capacity
         self._step = params.step
@@ -102,9 +98,6 @@ class OpenAddressTable:
 
     def __len__(self) -> int:
         return self._live
-
-    def load_factor(self) -> float:
-        return self._live / self._capacity
 
     def insert(self, key: int) -> bool:
         """Add key; False if it was already present."""
@@ -155,7 +148,6 @@ class OpenAddressTable:
         rebuild. Raises CapacityTooSmallError if the new capacity cannot
         hold every key plus one empty slot.
         """
-        validate_params(new_params)
         if new_params.capacity - 1 < self._live:
             raise CapacityTooSmallError(
                 f"capacity {new_params.capacity} cannot hold {self._live} keys plus an empty slot")

@@ -61,10 +61,6 @@ class TombstoneTable(OpenAddressTable):
         """BUSY plus DELETED slots; never decreases except on rehash."""
         return self._non_free
 
-    @property
-    def tombstone_count(self) -> int:
-        return self._non_free - self._live
-
     def keys(self) -> Iterator[int]:
         st = self._states
         keys = self._keys

@@ -94,6 +94,19 @@ class TestTrace:
         path = self.write(tmp_path, "a 5\n")
         code, _, err = run(capsys, "trace", path)
         assert code == 2
+        assert err == "error: capacity not given and not present in trace headers\n"
+
+    @pytest.mark.parametrize("flags, header, capacity", [
+        (("--capacity", "0"), "", 0),
+        (("--capacity", "-3"), "", -3),
+        ((), "# capacity=0\n", 0),
+        (("--capacity", "0"), "# capacity=7\n", 0),
+    ], ids=["flag-0", "flag-neg", "header-0", "flag-0-over-header"])
+    def test_given_capacity_below_one_is_zero_capacity_error(self, capsys, tmp_path, flags, header, capacity):
+        path = self.write(tmp_path, header + "a 5\n")
+        code, out, err = run(capsys, "trace", path, *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: ZeroCapacityError: capacity must be >= 1, got {capacity}\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "trace", str(tmp_path / "nope.trace"))

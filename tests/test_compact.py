@@ -1,5 +1,7 @@
+from math import gcd
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from compacthash import (CapacityTooSmallError, CompactTable, TableFullError,
                          TableParams, check_invariants)
@@ -203,12 +205,12 @@ class TestCapacityOne:
 class TestAccessors:
     def test_empty(self):
         t = build(7)
-        assert len(t) == 0 and t.load_factor() == 0 and list(t.keys()) == []
+        assert len(t) == 0 and len(t) / t.capacity == 0 and list(t.keys()) == []
 
     def test_populated(self):
         t = build(7, keys=[7, 14, 21])
         assert len(t) == 3
-        assert t.load_factor() == pytest.approx(3 / 7)
+        assert len(t) / t.capacity == pytest.approx(3 / 7)
         assert list(t.keys()) == [7, 14, 21]
 
     def test_after_remove(self):
@@ -289,3 +291,86 @@ def test_probe_counts_never_exceed_live_count(ops):
             assert max(placed) <= len(t)
         elif kind == "r":
             t.remove(key)
+
+
+# Replay identity: after any op sequence the table is byte for byte a
+# fresh table of its capacity and step that inserted the live keys in the
+# order of their last successful insert, as if no removed key had ever
+# been there. A growth rebuilds in ascending slot order, so it resets
+# that order to the slot order before the insert that grew the table.
+
+def replay_mismatch(params, ops):
+    """Index of the first op after which the table differs from its replay, or None."""
+    t = CompactTable(params)
+    order = []
+    for idx, (kind, key) in enumerate(ops):
+        if kind == "r":
+            if t.remove(key):
+                order.remove(key)
+        else:
+            before, capacity = list(t.keys()), t.capacity
+            try:
+                added = t.insert(key)
+            except TableFullError:
+                added = False
+            if t.capacity != capacity:
+                order = before
+            if added:
+                order.append(key)
+        replay = CompactTable(TableParams(t.capacity, t.params.step))
+        for k in order:
+            replay.insert(k)
+        if replay.state_bytes() != t.state_bytes():
+            return idx
+    return None
+
+
+@st.composite
+def replay_cases(draw):
+    """Any accepted TableParams at capacities 1-23 (every coprime step, any
+    step at capacity 1, growth on and off) and adds and removes of keys
+    whose homes collide."""
+    capacity = draw(st.integers(1, 23))
+    steps = [s for s in range(1, capacity) if gcd(s, capacity) == 1]
+    step = draw(st.sampled_from(steps) if steps else st.integers(1, 64))
+    params = TableParams(capacity, step, draw(st.booleans()))
+    keys = st.integers(-3 * capacity - 3, 3 * capacity + 3)
+    return params, draw(st.lists(st.tuples(st.sampled_from("aar"), keys), max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(replay_cases())
+@example((TableParams(7, 1), [("a", 0), ("a", 7), ("a", 14), ("r", 0)]))
+@example((TableParams(1, 5, growth_enabled=True), [("a", 3), ("a", 4), ("r", 3), ("a", 5), ("a", 6)]))
+def test_state_is_the_replay_of_the_live_keys(case):
+    assert replay_mismatch(*case) is None
+
+
+def compress_past_first_eligible(self, free):
+    """_compress, except that it leaves the first entry it could pull back."""
+    m, step, pc, keys = self._capacity, self._step, self._probe_counts, self._keys
+    i = (free + step) % m
+    off = 1
+    skip = True
+    while pc[i]:
+        if pc[i] > off:
+            if skip:
+                skip = False
+            else:
+                keys[free], pc[free] = keys[i], pc[i] - off
+                keys[i] = pc[i] = 0
+                free, off = i, 0
+        i = (i + step) % m
+        off += 1
+    return 0, 0
+
+
+def test_replay_identity_catches_a_valid_but_noncanonical_compress(monkeypatch):
+    # pulling 14 home past 7 leaves both keys reachable, so the checker
+    # passes; only the replay sees that the state is not canonical
+    monkeypatch.setattr(CompactTable, "_compress", compress_past_first_eligible)
+    t = build(7, keys=[0, 7, 14])
+    t.remove(0)
+    assert occupied(t) == [(0, 14, 1), (1, 7, 2)]
+    assert check_invariants(t).passed
+    assert replay_mismatch(TableParams(7, 1), [("a", 0), ("a", 7), ("a", 14), ("r", 0)]) == 3

@@ -226,6 +226,12 @@ class TestCollectorPause:
         assert gc.isenabled() is enabled
 
 
+# at TableParams(4, 1) the last add fills the compact table to its cap
+# while the tombstone table, one FREE slot short, refuses it
+ONE_SIDED_TABLE_FULL = [OpRecord(ADD, 0), OpRecord(ADD, 1), OpRecord(REMOVE, 0), OpRecord(ADD, 2),
+                        OpRecord(ADD, 3)]
+
+
 class TestRunDifferential:
     def test_correct_tables_pass(self):
         # universe wider than capacity, so probe chains actually form
@@ -285,6 +291,16 @@ class TestRunDifferential:
         assert d.tombstone_result == "TableFull"
         assert d.oracle_result is True
 
+    def test_tombstone_table_full_where_compact_has_room(self):
+        # the removed key's tombstone still counts against the tombstone
+        # table's FREE-slot budget; the compact table freed its slot
+        verdict = run_differential(ONE_SIDED_TABLE_FULL, TableParams(4, 1))
+        d = verdict.first_divergence
+        assert d.op_index == 4 and d.op == OpRecord(ADD, 3)
+        assert d.compact_result is True
+        assert d.tombstone_result == "TableFull"
+        assert d.oracle_result is True
+
     def test_deterministic_replay(self):
         spec = WorkloadSpec(seed=11, op_count=2000, key_universe=(0, 80), churn_rounds=2, churn_batch=30)
         ops = generate_workload(spec)
@@ -339,6 +355,7 @@ def disabled_compress(self, free):
 @example(case=([OpRecord(ADD, 7), OpRecord(ADD, 14), OpRecord(REMOVE, 7), OpRecord(CONTAINS, 14)],
                TableParams(7, 1), 1))
 @example(case=([OpRecord(ADD, 0), OpRecord(ADD, 1), OpRecord(ADD, 2)], TableParams(3, 1), 2))
+@example(case=(ONE_SIDED_TABLE_FULL, TableParams(4, 1), 1))
 def test_run_differential_matches_reference_loop(compress, case):
     ops, params, check_every = case
     with pytest.MonkeyPatch.context() as mp:

@@ -1,3 +1,4 @@
+import dataclasses
 from math import gcd
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from compacthash import (BUSY, CompactTable, KeyOutOfRangeError, StepNotCoprimeError,
                          StepOutOfRangeError, TableFullError, TableParams, TombstoneTable,
-                         ZeroCapacityError, check_invariants, validate_params)
+                         ZeroCapacityError, check_invariants)
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -76,39 +77,46 @@ def test_full_cycle_property_exhaustive():
                 assert len(set(path)) == m - 1, (m, c, key)
 
 
+# TableParams validates its fields on construction
+
 def test_validate_params_accepts_coprime():
     p = TableParams(7, 3)
-    assert validate_params(p) is p
-    validate_params(TableParams(1, 1))
-    validate_params(TableParams(65536, 5))
+    assert (p.capacity, p.step) == (7, 3)
+    TableParams(1, 1)
+    TableParams(65536, 5)
 
 
 def test_validate_params_rejects_non_coprime():
-    with pytest.raises(StepNotCoprimeError):
-        validate_params(TableParams(8, 2))
+    with pytest.raises(StepNotCoprimeError, match=r"^gcd\(step=2, capacity=8\) = 2; some slots would be unreachable$"):
+        TableParams(8, 2)
 
 
 def test_validate_params_rejects_zero_capacity():
-    with pytest.raises(ZeroCapacityError):
-        validate_params(TableParams(0, 1))
-    with pytest.raises(ZeroCapacityError):
-        validate_params(TableParams(-3, 1))
+    with pytest.raises(ZeroCapacityError, match=r"^capacity must be >= 1, got 0$"):
+        TableParams(0, 1)
+    with pytest.raises(ZeroCapacityError, match=r"^capacity must be >= 1, got -3$"):
+        TableParams(-3, 1)
 
 
 def test_validate_params_rejects_bad_step():
-    with pytest.raises(StepOutOfRangeError):
-        validate_params(TableParams(7, 0))
-    with pytest.raises(StepOutOfRangeError):
-        validate_params(TableParams(7, 7))
-    with pytest.raises(StepOutOfRangeError):
-        validate_params(TableParams(7, 9))
+    for step in (0, 7, 9):
+        with pytest.raises(StepOutOfRangeError,
+                           match=rf"^step must satisfy 1 <= step < capacity, got step={step} capacity=7$"):
+            TableParams(7, step)
+
+
+def test_validate_params_on_replace():
+    # growth builds its new params with dataclasses.replace, which runs
+    # the same checks
+    with pytest.raises(StepNotCoprimeError):
+        dataclasses.replace(TableParams(7, 2), capacity=8)
 
 
 @pytest.mark.parametrize("cls", [CompactTable, TombstoneTable])
 def test_one_slot_table_with_a_large_step_grows(cls):
     # step >= capacity is valid only at capacity 1; growth reduces the
     # step modulo the new capacity, which probes the same slots
-    table = cls(validate_params(TableParams(1, 5, growth_enabled=True)))
+    table = cls(TableParams(1, 5, growth_enabled=True))
     assert table.insert(3)
     assert table.capacity > 1 and table.params.step < table.capacity
     assert table.contains(3) and len(table) == 1

@@ -108,7 +108,7 @@ class TestInsert:
         t.remove(7)
         assert not t.insert(14)
         assert t.slot(0).state == DELETED
-        assert t.tombstone_count == 1
+        assert t.non_free_count - len(t) == 1
 
     def test_full_when_no_free_slot_would_remain(self):
         t = build(3, keys=[0, 3])
@@ -158,7 +158,7 @@ class TestRemove:
             assert t.remove(key)
         assert len(t) == 0
         assert t.non_free_count == 1000
-        assert t.tombstone_count == 1000
+        assert t.non_free_count - len(t) == 1000
 
 
 class TestProbeCost:
@@ -190,7 +190,7 @@ class TestGrowthAndRehash:
         r = t.rehash(TableParams(13, 1))
         assert sorted(r.keys()) == [7, 21]
         assert r.non_free_count == 2
-        assert r.tombstone_count == 0
+        assert r.non_free_count - len(r) == 0
 
     def test_rehash_capacity_too_small(self):
         t = build(11, keys=[1, 2, 3, 4, 5])
@@ -212,7 +212,7 @@ class TestGrowthAndRehash:
         assert len(t) == 0 and t.non_free_count == 5
         t.insert(40)
         assert t.capacity == 16
-        assert t.tombstone_count == 0  # rehash dropped them
+        assert t.non_free_count - len(t) == 0  # rehash dropped them
         assert sorted(t.keys()) == [40]
         assert check_invariants(t).passed
 
@@ -319,7 +319,7 @@ def test_insert_counts_across_growth():
     for _ in range(200):
         for _ in range(3):
             key = rng.randrange(-300, 300)
-            capacity, tombstones, non_free = t.capacity, t.tombstone_count, t.non_free_count
+            capacity, tombstones, non_free = t.capacity, t.non_free_count - len(t), t.non_free_count
             expected = classical_insert_count(t, key)
             added, n = t.insert_counted(key)
             if t.capacity != capacity:
@@ -328,7 +328,7 @@ def test_insert_counts_across_growth():
                 reuses = 0
                 # the rebuilt table holds no tombstones: the walk to the
                 # placed key is the placement walk
-                assert t.tombstone_count == 0
+                assert t.non_free_count - len(t) == 0
                 expected = classical_insert_count(t, key)
             elif added and t.non_free_count == non_free:
                 reuses += 1
