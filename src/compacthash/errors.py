@@ -6,11 +6,11 @@ class CompactHashError(Exception):
 
 
 class ZeroCapacityError(CompactHashError):
-    """Table capacity must be at least 1."""
+    """Table capacity must be an int of at least 1."""
 
 
 class StepOutOfRangeError(CompactHashError):
-    """Probe step must satisfy 1 <= step < capacity (for capacity > 1)."""
+    """Probe step must be an int with 1 <= step < capacity (for capacity > 1)."""
 
 
 class StepNotCoprimeError(CompactHashError):

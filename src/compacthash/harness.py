@@ -259,11 +259,14 @@ class InvariantFailure:
 
 @dataclass
 class Verdict:
-    """Outcome of one differential run; passed iff nothing disagreed."""
+    """Outcome of one differential run; passed iff no op diverged and no check failed."""
 
-    passed: bool
     first_divergence: Optional[Divergence] = None
     invariant_failures: list[InvariantFailure] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return self.first_divergence is None and not self.invariant_failures
 
     def to_json_dict(self) -> dict:
         return {
@@ -276,11 +279,12 @@ class Verdict:
 def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: int = 1) -> Verdict:
     """Apply ops to both tables and the set oracle, comparing every result.
 
-    Stops at the first return-value disagreement and records it; a
-    TableFullError is recorded as the string "TableFull" in that op's
-    result rather than crashing the run. Every check_every operations
-    both tables get a full invariant check; violations are collected and
-    the run keeps going (the checker reports, it never aborts).
+    Returns at the first op whose answers disagree; a TableFullError is
+    recorded as the string "TableFull" in that op's result rather than
+    crashing the run. The oracle answers True or False, so an op agrees
+    iff both tables' answers are that very object. Every check_every
+    operations both tables get a full invariant check; violations are
+    collected and the run keeps going (the checker reports, it never aborts).
     """
     if check_every < 1:
         raise ValueError(f"check_every must be positive, got {check_every}")
@@ -288,7 +292,6 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
     tombstone = TombstoneTable(params)
     model: set[int] = set()
     failures: list[InvariantFailure] = []
-    divergence = None
 
     # insert, contains and remove are *_counted(key)[0]; calling the
     # counted methods directly saves a Python frame per op and table
@@ -323,20 +326,14 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
         else:
             raise ValueError(f"unknown op kind {kind!r} at index {idx}")
         if c is not o or t is not o:
-            if not (c == o == t):  # TableFull strings compare by value
-                divergence = Divergence(idx, op, c, t, o)
-                break
+            return Verdict(Divergence(idx, op, c, t, o), failures)
         if (idx + 1) % check_every == 0:
-            report = check_invariants(compact)
-            if not report.passed:
-                failures.append(InvariantFailure(idx, "compact", report))
-            report = check_invariants(tombstone)
-            if not report.passed:
-                failures.append(InvariantFailure(idx, "tombstone", report))
+            for table_kind, table in (("compact", compact), ("tombstone", tombstone)):
+                report = check_invariants(table)
+                if not report.passed:
+                    failures.append(InvariantFailure(idx, table_kind, report))
 
-    return Verdict(passed=divergence is None and not failures,
-                   first_divergence=divergence,
-                   invariant_failures=failures)
+    return Verdict(None, failures)
 
 
 def format_trace(ops: Iterable[OpRecord], meta: Optional[dict] = None) -> str:

@@ -142,12 +142,12 @@ def _path_gap(cp: np.ndarray, cpos: np.ndarray, rank: np.ndarray, d: np.ndarray,
     cp holds the sorted, distinct occupied cycle positions, cpos is
     cp[rank] and 0 <= d < m. The d positions before cpos are all
     occupied iff the d-th occupied position before it, cp[rank - d] taken
-    cyclically, lies exactly d steps back: a difference of d, or d - m
-    across the end of the cycle. O(1) per key.
+    cyclically, lies exactly d steps back: a difference in (-m, m)
+    congruent to d mod m. O(1) per key.
     """
     n = cp.size
     back = cpos - cp[rank - np.minimum(d, n - 1)]  # a negative index wraps once
-    return (d >= n) | ((back != d) & (back != d - m))
+    return (d >= n) | (back % m != d)
 
 
 def _occupied_before(cp: np.ndarray, cpos: np.ndarray, d: np.ndarray, m: int) -> np.ndarray:
@@ -314,15 +314,8 @@ def probe_stats(table: AnyTable) -> ProbeStats:
     else:
         raise TypeError(f"unsupported table type {type(table).__name__}")
 
-    if costs.size:
-        counts = np.bincount(costs)
-        histogram = {int(v): int(c) for v, c in enumerate(counts) if v and c}
-        mean_success = float(costs.mean())
-        max_probe = int(costs.max())
-    else:
-        histogram = {}
-        mean_success = 0.0
-        max_probe = 0
+    histogram = {int(v): int(c) for v, c in enumerate(np.bincount(costs)) if v and c}
+    mean_success = float(costs.mean()) if costs.size else 0.0
     # runs of consecutive cycle positions; one that wraps the end of the
     # cycle is merged into the last, because its true start lies near the end
     n = cp.size
@@ -342,7 +335,7 @@ def probe_stats(table: AnyTable) -> ProbeStats:
         histogram=histogram,
         mean_success=mean_success,
         mean_miss=mean_miss,
-        max_probe=max_probe,
+        max_probe=int(costs.max(initial=0)),
         cluster_lengths=runs.tolist(),
         load_factor=len(table) / m,
         tombstone_count=tombstones,

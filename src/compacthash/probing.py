@@ -15,6 +15,7 @@ probes, places and deletes.
 from array import array
 from dataclasses import dataclass, replace
 from math import gcd
+from operator import index
 
 from .errors import (CapacityTooSmallError, KeyOutOfRangeError, StepNotCoprimeError,
                      StepOutOfRangeError, ZeroCapacityError)
@@ -52,6 +53,10 @@ class TableParams:
     def __post_init__(self):
         """Raise ZeroCapacityError, StepOutOfRangeError or StepNotCoprimeError."""
         m, c = self.capacity, self.step
+        if type(m) is not int:
+            raise ZeroCapacityError(f"capacity must be an int >= 1, got {m!r} ({type(m).__name__})")
+        if type(c) is not int:
+            raise StepOutOfRangeError(f"step must be an int, got {c!r} ({type(c).__name__})")
         if m < 1:
             raise ZeroCapacityError(f"capacity must be >= 1, got {m}")
         if c < 1 or (m > 1 and c >= m):
@@ -124,6 +129,7 @@ class OpenAddressTable:
         if not KEY_MIN <= key <= KEY_MAX:
             raise KeyOutOfRangeError(f"key {key} is outside the signed 64-bit range")
         if self._params.growth_enabled and (self._growth_count() + 1) / self._capacity > GROWTH_LOAD_FACTOR:
+            index(key)  # a key that is no int raises before it can grow the table
             self._grow()
         return self._place_insert(key)
 

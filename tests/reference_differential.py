@@ -47,10 +47,10 @@ def reference_differential(ops, params: TableParams, check_every: int = 1) -> Ve
         c = table_result(tables["compact"], op)
         t = table_result(tables["tombstone"], op)
         if not (c == o and t == o):
-            return Verdict(False, Divergence(idx, op, c, t, o), failures)
+            return Verdict(Divergence(idx, op, c, t, o), failures)
         if (idx + 1) % check_every == 0:
             for kind, table in tables.items():
                 report = check_invariants(table)
                 if not report.passed:
                     failures.append(InvariantFailure(idx, kind, report))
-    return Verdict(not failures, None, failures)
+    return Verdict(None, failures)

@@ -159,25 +159,15 @@ def test_criterion_5():
     table = CompactTable(params)
     rng = SplitMix64(2025)
     live = LiveKeys()
-    while len(live.keys) < 4096:
-        key = rng.next_u64() - 2**63
-        if key not in live.index:
-            table.insert(key)
-            live.add(key)
+    for _ in range(4096):
+        table.insert(live.add_fresh(rng.next_u64, -2**63, 2**64))
     insert_slots = compress_slots = 0
     pairs = 50_000  # 100,000 churn operations
     for _ in range(pairs):
-        victim = live.keys[rng.next_u64() % len(live.keys)]
-        live.discard(victim)
-        _, _find, scan, _moved = table.remove_counted(victim)
+        _, _find, scan, _moved = table.remove_counted(live.pick(rng.next_u64()))
         compress_slots += scan
-        while True:
-            key = rng.next_u64() - 2**63
-            if key not in live.index:
-                break
-        _, n = table.insert_counted(key)
+        _, n = table.insert_counted(live.add_fresh(rng.next_u64, -2**63, 2**64))
         insert_slots += n
-        live.add(key)
     mean_insert = insert_slots / pairs
     mean_compress = compress_slots / pairs
     gap = abs(mean_insert - mean_compress) / mean_insert
@@ -191,13 +181,10 @@ def _clean_empty_ok(capacity, step, key_count, seeds=20):
     fresh = CompactTable(params).state_bytes()
     for seed in seeds if isinstance(seeds, range) else range(seeds):
         rng = SplitMix64(seed * 7919 + 13)
-        keys = []
-        index = set()
-        while len(keys) < key_count:
-            key = rng.next_u64() - 2**63
-            if key not in index:
-                index.add(key)
-                keys.append(key)
+        live = LiveKeys()
+        for _ in range(key_count):
+            live.add_fresh(rng.next_u64, -2**63, 2**64)
+        keys = live.keys
         compact = CompactTable(params)
         tombstone = TombstoneTable(params)
         ever_busy = set()

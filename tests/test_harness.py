@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import scalar_splitmix
 from reference_differential import reference_differential
-from compacthash import (ADD, CONTAINS, REMOVE, CompactTable, EmptyKeyUniverseError,
-                         OpRecord, SplitMix64, TableParams, TombstoneTable, TraceParseError,
-                         WorkloadSpec, format_trace, generate_workload, parse_trace,
-                         run_differential)
+from compacthash import (ADD, CONTAINS, REMOVE, CompactTable, Divergence, EmptyKeyUniverseError,
+                         InvariantFailure, OpRecord, SplitMix64, TableParams, TombstoneTable,
+                         TraceParseError, Verdict, ViolationReport, WorkloadSpec, format_trace,
+                         generate_workload, parse_trace, run_differential)
 
 GAMMA = 0x9E3779B97F4A7C15
 
@@ -230,6 +230,16 @@ class TestCollectorPause:
 # while the tombstone table, one FREE slot short, refuses it
 ONE_SIDED_TABLE_FULL = [OpRecord(ADD, 0), OpRecord(ADD, 1), OpRecord(REMOVE, 0), OpRecord(ADD, 2),
                         OpRecord(ADD, 3)]
+
+
+def test_verdict_passed_is_derived_from_its_findings():
+    divergence = Divergence(0, OpRecord(ADD, 1), "TableFull", True, True)
+    failure = InvariantFailure(0, "compact", ViolationReport())
+    assert Verdict().passed
+    assert not Verdict(divergence).passed
+    assert not Verdict(None, [failure]).passed
+    with pytest.raises(TypeError):
+        Verdict(passed=True)
 
 
 class TestRunDifferential:

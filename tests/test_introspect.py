@@ -288,7 +288,7 @@ def test_mean_success_agrees_with_lookup_replay(ops, shape):
     assert stored == pytest.approx(replayed)
 
 
-class TestMeasureOpCost:
+class TestCountedOps:
     """Slot costs of single operations, as the *_counted methods report them."""
 
     def test_contains_on_empty_table(self):

@@ -79,33 +79,49 @@ def test_full_cycle_property_exhaustive():
 
 # TableParams validates its fields on construction
 
-def test_validate_params_accepts_coprime():
+def test_table_params_accepts_coprime():
     p = TableParams(7, 3)
     assert (p.capacity, p.step) == (7, 3)
     TableParams(1, 1)
     TableParams(65536, 5)
 
 
-def test_validate_params_rejects_non_coprime():
+def test_table_params_rejects_non_coprime():
     with pytest.raises(StepNotCoprimeError, match=r"^gcd\(step=2, capacity=8\) = 2; some slots would be unreachable$"):
         TableParams(8, 2)
 
 
-def test_validate_params_rejects_zero_capacity():
+def test_table_params_rejects_zero_capacity():
     with pytest.raises(ZeroCapacityError, match=r"^capacity must be >= 1, got 0$"):
         TableParams(0, 1)
     with pytest.raises(ZeroCapacityError, match=r"^capacity must be >= 1, got -3$"):
         TableParams(-3, 1)
 
 
-def test_validate_params_rejects_bad_step():
+def test_table_params_rejects_bad_step():
     for step in (0, 7, 9):
         with pytest.raises(StepOutOfRangeError,
                            match=rf"^step must satisfy 1 <= step < capacity, got step={step} capacity=7$"):
             TableParams(7, step)
 
 
-def test_validate_params_on_replace():
+@pytest.mark.parametrize("capacity, step, error, message", [
+    (True, 1, ZeroCapacityError, "capacity must be an int >= 1, got True (bool)"),
+    (7.5, 1, ZeroCapacityError, "capacity must be an int >= 1, got 7.5 (float)"),
+    ("7", 1, ZeroCapacityError, "capacity must be an int >= 1, got '7' (str)"),
+    (7, True, StepOutOfRangeError, "step must be an int, got True (bool)"),
+    (7, 1.5, StepOutOfRangeError, "step must be an int, got 1.5 (float)"),
+    (7, "3", StepOutOfRangeError, "step must be an int, got '3' (str)"),
+    (0.0, 0.5, ZeroCapacityError, "capacity must be an int >= 1, got 0.0 (float)"),
+])
+def test_table_params_rejects_non_int_fields(capacity, step, error, message):
+    # the type checks run before the value checks, and a bool is no int
+    with pytest.raises(error) as caught:
+        TableParams(capacity, step)
+    assert str(caught.value) == message
+
+
+def test_table_params_on_replace():
     # growth builds its new params with dataclasses.replace, which runs
     # the same checks
     with pytest.raises(StepNotCoprimeError):
@@ -121,6 +137,18 @@ def test_one_slot_table_with_a_large_step_grows(cls):
     assert table.capacity > 1 and table.params.step < table.capacity
     assert table.contains(3) and len(table) == 1
     assert check_invariants(table).passed
+
+
+@pytest.mark.parametrize("cls", [CompactTable, TombstoneTable])
+def test_non_int_key_never_grows_the_table(cls):
+    # 2.5 lies inside the key range, and the next insert would grow the table
+    table = cls(TableParams(4, 1, growth_enabled=True))
+    table.insert(0)
+    table.insert(1)
+    before = table.capacity, _snapshot(table)
+    with pytest.raises(TypeError):
+        table.insert(2.5)
+    assert (table.capacity, _snapshot(table)) == before
 
 
 def test_default_params():
