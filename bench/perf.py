@@ -1,6 +1,6 @@
-"""Wall time of the verification, workload generation and differential layers.
+"""Wall time of the verification, workload generation, differential and table layers.
 
-    PYTHONPATH=src python bench/perf.py --label change --out BENCH_10.json
+    PYTHONPATH=src python bench/perf.py --label change --out BENCH_14.json
 
 builds a grid of 65,536-slot tables and times check_invariants and
 probe_stats on each: both table kinds at loads 0.02, 0.25, 0.5 and 0.9
@@ -27,6 +27,18 @@ The differential layer is timed as seconds of run_differential per
 invariant checker run once, after the last op: the median of 11 runs
 after one untimed run, whose verdict must pass.
 
+The table layer is timed on the same ops: each table kind replays them
+on a fresh 65,536-slot table at steps 1 and 3 through insert_counted,
+contains_counted and remove_counted, and each call is bracketed by two
+perf_counter_ns reads. A figure is microseconds per call of one method,
+after subtracting the mean cost of an empty bracket: the median of 5
+replays after one untimed replay. Table construction is timed as
+microseconds per new 65,536-slot table of each kind, with ru_minflt, the
+minor page faults getrusage counts while the table is built: the median
+of 11 constructions after one untimed one, in a fresh interpreter that
+drops each table before it builds the next, as a driver that builds its
+tables per run does.
+
 Each run is added to --out under --label, beside the runs already there,
 so running the script once with another checkout's src on PYTHONPATH
 (--label parent) and once with this one's puts both in one file. After
@@ -41,6 +53,8 @@ import json
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -48,8 +62,8 @@ from pathlib import Path
 import numpy as np
 
 import compacthash.cli
-from compacthash import (CompactTable, SplitMix64, TableParams, TombstoneTable, WorkloadSpec,
-                         check_invariants, generate_workload, probe_stats, run_differential)
+from compacthash import (ADD, CONTAINS, REMOVE, CompactTable, SplitMix64, TableParams, TombstoneTable,
+                         WorkloadSpec, check_invariants, generate_workload, probe_stats, run_differential)
 
 CAPACITY = 1 << 16
 LOADS = (0.02, 0.25, 0.5, 0.9)
@@ -61,6 +75,9 @@ CALLS = 41  # timed calls per grid point
 BASELINE = "parent"  # label the summary divides every other label by
 GEN_RUNS = 11  # timed runs per generation figure
 DIFF_RUNS = 11  # timed runs per run_differential figure
+TABLE_RUNS = 5  # timed replays per table-op figure
+CONSTRUCTIONS = 11  # timed constructions per table-construction figure
+TABLES = ((CompactTable, "compact"), (TombstoneTable, "tombstone"))
 MIX = (0.45, 0.35, 0.20)
 UNIVERSE = (0, 2 * CAPACITY)
 GEN_SPECS = {
@@ -68,7 +85,8 @@ GEN_SPECS = {
     "generate_workload/churn": WorkloadSpec(0, 50_000, UNIVERSE, MIX, churn_rounds=50, churn_batch=500),
 }
 DRAWS = 200_000
-TIMINGS = ("check_invariants_ms", "probe_stats_ms", "s_per_100k_ops", "ns_per_draw")
+TIMINGS = ("check_invariants_ms", "probe_stats_ms", "s_per_100k_ops", "ns_per_draw", "us_per_op",
+           "us_per_table", "ru_minflt")
 
 
 def _keys(seed: int, count: int) -> list[int]:
@@ -180,6 +198,70 @@ def differential_rows() -> dict:
     return rows
 
 
+# argv: table class name, capacity, constructions; prints [[seconds, ru_minflt], ...]
+_CONSTRUCT = """
+import json, resource, sys, time
+import compacthash
+kind = getattr(compacthash, sys.argv[1])
+params = compacthash.TableParams(int(sys.argv[2]), 1)
+figures = []
+for _ in range(int(sys.argv[3]) + 1):
+    flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    table = kind(params)
+    figures.append((time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt))
+    del table
+print(json.dumps(figures[1:]))
+"""
+
+
+def _bracket_ns() -> float:
+    """Mean cost of an empty pair of perf_counter_ns reads, in ns."""
+    clock = time.perf_counter_ns
+    total = 0
+    for _ in range(100_000):
+        t0 = clock()
+        total += clock() - t0
+    return total / 100_000
+
+
+def _replay(kind, step: int, ops) -> dict[str, list[int]]:
+    """Replay ops on a fresh table; [total ns, calls] per op kind."""
+    table = kind(TableParams(CAPACITY, step))
+    methods = {ADD: table.insert_counted, CONTAINS: table.contains_counted, REMOVE: table.remove_counted}
+    spent = {op_kind: [0, 0] for op_kind in methods}
+    clock = time.perf_counter_ns
+    for op_kind, key in ops:
+        method = methods[op_kind]
+        t0 = clock()
+        method(key)
+        t1 = clock()
+        acc = spent[op_kind]
+        acc[0] += t1 - t0
+        acc[1] += 1
+    return spent
+
+
+def table_rows() -> dict:
+    ops = generate_workload(GEN_SPECS["generate_workload/fuzz-bulk"])
+    bracket = _bracket_ns()
+    rows = {}
+    for step in STEPS:
+        for kind, name in TABLES:
+            _replay(kind, step, ops)
+            replays = [_replay(kind, step, ops) for _ in range(TABLE_RUNS)]
+            for op_kind, method in ((ADD, "insert"), (CONTAINS, "contains"), (REMOVE, "remove")):
+                calls = replays[0][op_kind][1]
+                us = statistics.median(r[op_kind][0] / calls - bracket for r in replays) / 1e3
+                rows[f"table/{name}/step{step}/{method}_counted"] = {"calls": calls, "us_per_op": round(us, 4)}
+    for kind, name in TABLES:
+        argv = [sys.executable, "-c", _CONSTRUCT, kind.__name__, str(CAPACITY), str(CONSTRUCTIONS)]
+        figures = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+        rows[f"construct/{name}"] = {"us_per_table": round(statistics.median(s for s, _ in figures) * 1e6, 1),
+                                     "ru_minflt": statistics.median(f for _, f in figures)}
+    return rows
+
+
 def run() -> dict:
     rows = {}
     for point, build in grid():
@@ -193,7 +275,7 @@ def run() -> dict:
             "probe_stats_ms": median_ms(probe_stats, t),
         }
         print(point, rows[point], flush=True)
-    for point, row in (generation_rows() | differential_rows()).items():
+    for point, row in (generation_rows() | differential_rows() | table_rows()).items():
         rows[point] = row
         print(point, row, flush=True)
     return rows
@@ -211,7 +293,7 @@ def summarize(doc: dict) -> dict:
     summary = {"median": medians}
     if BASELINE in medians:
         summary[f"{BASELINE}_over"] = {
-            label: {point: {metric: round(medians[BASELINE][point][metric] / value, 2)
+            label: {point: {metric: round(medians[BASELINE][point][metric] / value, 2) if value else None
                             for metric, value in figures.items()}
                     for point, figures in per_point.items()}
             for label, per_point in medians.items() if label != BASELINE

@@ -9,10 +9,11 @@ table never degrades under insert/delete churn.
 """
 
 from array import array
+from operator import index
 from typing import Iterator, NamedTuple
 
-from .errors import TableFullError
-from .probing import OpenAddressTable, TableParams
+from .errors import KeyOutOfRangeError, TableFullError
+from .probing import GROWTH_LOAD_FACTOR, KEY_MAX, KEY_MIN, OpenAddressTable, TableParams
 
 
 class Slot(NamedTuple):
@@ -23,19 +24,13 @@ class Slot(NamedTuple):
 
 
 class CompactTable(OpenAddressTable):
-    """Integer set with open addressing and compaction-based deletion.
-
-    The growth threshold applies to the live count.
-    """
+    """Integer set with open addressing and compaction-based deletion; growth counts live keys."""
 
     __slots__ = ("_probe_counts",)
 
     def __init__(self, params: TableParams):
         super().__init__(params)
-        self._probe_counts = array("q", bytes(8 * params.capacity))
-
-    def _growth_count(self) -> int:
-        return self._live
+        self._probe_counts = array("q", [0]) * params.capacity
 
     def keys(self) -> Iterator[int]:
         """Yield each stored key once, in ascending slot order."""
@@ -54,8 +49,9 @@ class CompactTable(OpenAddressTable):
 
     # -- membership ----------------------------------------------------
 
-    # Every op writes its probe walk out: a shared walk method would add a
-    # Python call, which costs about as much as a short lookup.
+    # Every op writes its probe walk out, and insert its key and growth
+    # checks too: a shared method would add a Python call, which costs
+    # about as much as a short lookup.
     def contains_counted(self, key: int) -> tuple[bool, int]:
         """Like contains, also returning the number of slots examined."""
         m = self._capacity
@@ -75,7 +71,13 @@ class CompactTable(OpenAddressTable):
 
     # -- insertion ------------------------------------------------------
 
-    def _place_insert(self, key: int) -> tuple[bool, int]:
+    def insert_counted(self, key: int) -> tuple[bool, int]:
+        """Like insert, also returning the number of slots examined."""
+        if not KEY_MIN <= key <= KEY_MAX:
+            raise KeyOutOfRangeError(f"key {key} is outside the signed 64-bit range")
+        if self._params.growth_enabled and (self._live + 1) / self._capacity > GROWTH_LOAD_FACTOR:
+            index(key)  # a key that is no int raises before it can grow the table
+            self._grow()
         m = self._capacity
         step = self._step
         pc = self._probe_counts

@@ -5,20 +5,18 @@ threads and tables. A key's home slot is key % capacity, computed inline
 by every probe loop; Python's % is total over the signed 64-bit range.
 
 :class:`OpenAddressTable` is everything CompactTable and TombstoneTable
-have in common: the key array and live count, the accessors, the growth
-policy, rebuilding by rehash, the signed 64-bit key check, and the public
-insert/contains/remove wrappers over each table's counted operations.
-The tables differ only in their slot-state array and the code that
-probes, places and deletes.
+have in common: the key array and live count, the accessors, growing
+and rebuilding by rehash, and the public insert/contains/remove wrappers
+over each table's counted operations, which each table writes out whole
+(insert_counted makes its own key-range and growth checks).
 """
 
 from array import array
 from dataclasses import dataclass, replace
 from math import gcd
-from operator import index
 
-from .errors import (CapacityTooSmallError, KeyOutOfRangeError, StepNotCoprimeError,
-                     StepOutOfRangeError, ZeroCapacityError)
+from .errors import (CapacityTooSmallError, CompactHashError, StepNotCoprimeError, StepOutOfRangeError,
+                     ZeroCapacityError)
 
 DEFAULT_CAPACITY = 1_000_000
 
@@ -51,8 +49,8 @@ class TableParams:
     growth_enabled: bool = False
 
     def __post_init__(self):
-        """Raise ZeroCapacityError, StepOutOfRangeError or StepNotCoprimeError."""
-        m, c = self.capacity, self.step
+        """Raise ZeroCapacityError, StepOutOfRangeError, StepNotCoprimeError or CompactHashError."""
+        m, c, g = self.capacity, self.step, self.growth_enabled
         if type(m) is not int:
             raise ZeroCapacityError(f"capacity must be an int >= 1, got {m!r} ({type(m).__name__})")
         if type(c) is not int:
@@ -63,6 +61,8 @@ class TableParams:
             raise StepOutOfRangeError(f"step must satisfy 1 <= step < capacity, got step={c} capacity={m}")
         if gcd(c, m) != 1:
             raise StepNotCoprimeError(f"gcd(step={c}, capacity={m}) = {gcd(c, m)}; some slots would be unreachable")
+        if type(g) is not bool:
+            raise CompactHashError(f"growth_enabled must be a bool, got {g!r} ({type(g).__name__})")
 
 
 class OpenAddressTable:
@@ -70,13 +70,17 @@ class OpenAddressTable:
 
     Keys are signed 64-bit integers. At least one slot is always kept
     empty so that every probe loop terminates. A subclass takes params as
-    its only constructor argument (rehash builds type(self)(new_params))
-    and supplies:
+    its only constructor argument (rehash builds type(self)(params)) and
+    supplies:
 
+    - insert_counted(key) -> (added, slots examined). It raises
+      KeyOutOfRangeError for a key outside [KEY_MIN, KEY_MAX]; then, if
+      growth is enabled and the next insert would push the table's growth
+      count over GROWTH_LOAD_FACTOR, calls index(key) and _grow(); then
+      probes, raising TableFullError rather than take the last empty
+      slot. A raise leaves the table unchanged;
     - contains_counted(key) -> (found, slots examined);
     - remove_counted(key) -> a tuple whose first item is "removed";
-    - _place_insert(key) -> (added, slots examined), without growth;
-    - _growth_count(), the slot count the growth threshold applies to;
     - keys(), yielding the stored keys in ascending slot order.
 
     Instances are single-writer: no call is safe concurrently with a
@@ -90,7 +94,7 @@ class OpenAddressTable:
         self._params = params
         self._capacity = params.capacity
         self._step = params.step
-        self._keys = array("q", bytes(8 * params.capacity))
+        self._keys = array("q", [0]) * params.capacity
         self._live = 0
 
     @property
@@ -117,22 +121,6 @@ class OpenAddressTable:
         """Delete key; False if it was absent."""
         return self.remove_counted(key)[0]
 
-    def insert_counted(self, key: int) -> tuple[bool, int]:
-        """Like insert, also returning the number of slots examined.
-
-        With growth enabled, the table rehashes into a larger capacity
-        before probing whenever the next insert would push the growth
-        count over the threshold. Raises KeyOutOfRangeError for a key
-        outside the signed 64-bit range and TableFullError when the key
-        would take the last empty slot; either leaves the table unchanged.
-        """
-        if not KEY_MIN <= key <= KEY_MAX:
-            raise KeyOutOfRangeError(f"key {key} is outside the signed 64-bit range")
-        if self._params.growth_enabled and (self._growth_count() + 1) / self._capacity > GROWTH_LOAD_FACTOR:
-            index(key)  # a key that is no int raises before it can grow the table
-            self._grow()
-        return self._place_insert(key)
-
     def _grow(self) -> None:
         # step % new_cap probes the same sequence as step; it differs from
         # step only when growing a 1-slot table, whose step may be any
@@ -151,13 +139,15 @@ class OpenAddressTable:
 
         Keys are reinserted in ascending old slot order, which makes the
         result reproducible byte for byte; growth never fires during the
-        rebuild. Raises CapacityTooSmallError if the new capacity cannot
-        hold every key plus one empty slot.
+        rebuild, which runs with it off and then takes on new_params.
+        Raises CapacityTooSmallError if the new capacity cannot hold every
+        key plus one empty slot.
         """
         if new_params.capacity - 1 < self._live:
             raise CapacityTooSmallError(
                 f"capacity {new_params.capacity} cannot hold {self._live} keys plus an empty slot")
-        fresh = type(self)(new_params)
+        fresh = type(self)(replace(new_params, growth_enabled=False))
         for key in self.keys():
-            fresh._place_insert(key)
+            fresh.insert_counted(key)
+        fresh._params = new_params
         return fresh

@@ -16,10 +16,11 @@ on a saturated table where the classical walk is Theta(capacity).
 """
 
 from array import array
+from operator import index
 from typing import Iterator, NamedTuple
 
-from .errors import TableFullError
-from .probing import OpenAddressTable, TableParams
+from .errors import KeyOutOfRangeError, TableFullError
+from .probing import GROWTH_LOAD_FACTOR, KEY_MAX, KEY_MIN, OpenAddressTable, TableParams
 
 FREE = 0
 BUSY = 1
@@ -47,14 +48,11 @@ class TombstoneTable(OpenAddressTable):
     def __init__(self, params: TableParams):
         super().__init__(params)
         self._inv_step = pow(params.step, -1, params.capacity)
-        self._states = array("b", bytes(params.capacity))
+        self._states = array("b", [FREE]) * params.capacity
         self._non_free = 0
         self._slot_of: dict[int, int] = {}
         # read only at non-FREE slots, each set when its slot stops being FREE
-        self._next_free = array("q", bytes(8 * params.capacity))
-
-    def _growth_count(self) -> int:
-        return self._non_free
+        self._next_free = array("q", [0]) * params.capacity
 
     @property
     def non_free_count(self) -> int:
@@ -76,8 +74,9 @@ class TombstoneTable(OpenAddressTable):
 
     # -- membership ----------------------------------------------------
 
-    # Every op writes its probe walk out: a shared walk method would add a
-    # Python call, which costs about as much as a short lookup.
+    # Every op writes its probe walk out, and insert its key and growth
+    # checks too: a shared method would add a Python call, which costs
+    # about as much as a short lookup.
     def contains_counted(self, key: int) -> tuple[bool, int]:
         """Like contains, also returning the slots examined, terminator or hit included."""
         m = self._capacity
@@ -99,7 +98,7 @@ class TombstoneTable(OpenAddressTable):
 
     # -- insertion ------------------------------------------------------
 
-    def _place_insert(self, key: int) -> tuple[bool, int]:
+    def insert_counted(self, key: int) -> tuple[bool, int]:
         """Reuse the first tombstone on the probe path if the key is absent,
         otherwise take the first FREE slot; count as the classical walk.
 
@@ -108,21 +107,27 @@ class TombstoneTable(OpenAddressTable):
         absent key's walk runs to the first FREE slot, which _first_free
         finds from the first non-BUSY slot on the path.
         """
+        if not KEY_MIN <= key <= KEY_MAX:
+            raise KeyOutOfRangeError(f"key {key} is outside the signed 64-bit range")
+        if self._params.growth_enabled and (self._non_free + 1) / self._capacity > GROWTH_LOAD_FACTOR:
+            index(key)  # a key that is no int raises before it can grow the table
+            self._grow()
         m = self._capacity
-        home = key % m
+        st = self._states
+        i = home = key % m
+        s = st[i]  # a key that is no int raises here, before _slot_of can match it by hash
         found = self._slot_of.get(key)
         if found is not None:
             return False, (found - home) * self._inv_step % m + 1
         step = self._step
-        st = self._states
-        i = home
         n = 1
-        while st[i] == BUSY:
+        while s == BUSY:
             i += step
             if i >= m:
                 i -= m
             n += 1
-        if st[i] == FREE:
+            s = st[i]
+        if s == FREE:
             if m - self._non_free == 1:
                 raise TableFullError(f"table has a single FREE slot left (capacity {m}) and growth disabled")
             self._non_free += 1

@@ -161,6 +161,9 @@ class TestRehash:
         r = t.rehash(TableParams(9, 1, growth_enabled=True))
         assert r.capacity == 9  # growth must not fire during the rebuild
         assert sorted(r.keys()) == list(range(8))
+        assert r.params == TableParams(9, 1, growth_enabled=True)
+        r.insert(8)  # (8 + 1) / 9 > 0.7: the rebuilt table grows again
+        assert r.capacity == 18 and sorted(r.keys()) == list(range(9))
 
 
 class TestGrowth:

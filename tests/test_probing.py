@@ -4,9 +4,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compacthash import (BUSY, CompactTable, KeyOutOfRangeError, StepNotCoprimeError,
-                         StepOutOfRangeError, TableFullError, TableParams, TombstoneTable,
-                         ZeroCapacityError, check_invariants)
+from compacthash import (BUSY, CompactHashError, CompactTable, KeyOutOfRangeError,
+                         StepNotCoprimeError, StepOutOfRangeError, TableFullError, TableParams,
+                         TombstoneTable, ZeroCapacityError, check_invariants)
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -121,6 +121,19 @@ def test_table_params_rejects_non_int_fields(capacity, step, error, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("growth, message", [
+    ("no", "growth_enabled must be a bool, got 'no' (str)"),
+    (1, "growth_enabled must be a bool, got 1 (int)"),
+    (0, "growth_enabled must be a bool, got 0 (int)"),
+    (None, "growth_enabled must be a bool, got None (NoneType)"),
+])
+def test_table_params_rejects_non_bool_growth(growth, message):
+    # every insert reads the flag, so only a bool is accepted
+    with pytest.raises(CompactHashError) as caught:
+        TableParams(4, 1, growth_enabled=growth)
+    assert str(caught.value) == message
+
+
 def test_table_params_on_replace():
     # growth builds its new params with dataclasses.replace, which runs
     # the same checks
@@ -149,6 +162,17 @@ def test_non_int_key_never_grows_the_table(cls):
     with pytest.raises(TypeError):
         table.insert(2.5)
     assert (table.capacity, _snapshot(table)) == before
+
+
+@pytest.mark.parametrize("cls", [CompactTable, TombstoneTable])
+def test_non_int_key_equal_to_a_live_key_raises(cls):
+    # 1.0 == 1 and hash(1.0) == hash(1), yet both tables refuse it as no int
+    table = cls(TableParams(7, 1))
+    table.insert(1)
+    before = _snapshot(table)
+    with pytest.raises(TypeError):
+        table.insert(1.0)
+    assert _snapshot(table) == before
 
 
 def test_default_params():

@@ -202,6 +202,9 @@ class TestGrowthAndRehash:
         r = t.rehash(TableParams(9, 1, growth_enabled=True))
         assert r.capacity == 9
         assert sorted(r.keys()) == list(range(8))
+        assert r.params == TableParams(9, 1, growth_enabled=True)
+        r.insert(8)  # (8 + 1) / 9 > 0.7: the rebuilt table grows again
+        assert r.capacity == 18 and sorted(r.keys()) == list(range(9))
 
     def test_growth_triggered_by_non_free_count(self):
         # tombstones count toward the growth trigger: the table grows on
