@@ -1,6 +1,6 @@
 """Wall time of the verification, workload generation, differential and table layers.
 
-    PYTHONPATH=src python bench/perf.py --label change --out BENCH_14.json
+    PYTHONPATH=src python bench/perf.py --label change --out BENCH_15.json
 
 builds a grid of 65,536-slot tables and times check_invariants and
 probe_stats on each: both table kinds at loads 0.02, 0.25, 0.5 and 0.9
@@ -39,6 +39,15 @@ of 11 constructions after one untimed one, in a fresh interpreter that
 drops each table before it builds the next, as a driver that builds its
 tables per run does.
 
+The tombstone lookup layer is timed on the tombstone load-0.02 and
+saturated tables at steps 1 and 3, with the same bracket: microseconds
+per contains_counted call over 256 seeded stored keys and over 256
+seeded absent keys, and per remove+insert pair, in which a stored key
+is removed and a fresh key inserted. Each pass of pairs removes the keys
+the pass before inserted, the first pass a seeded sample of the table's
+keys, so the live count stays put. Each figure is the median of 5
+passes after one untimed pass, on one table per point.
+
 Each run is added to --out under --label, beside the runs already there,
 so running the script once with another checkout's src on PYTHONPATH
 (--label parent) and once with this one's puts both in one file. After
@@ -52,6 +61,7 @@ import gc
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -77,6 +87,7 @@ GEN_RUNS = 11  # timed runs per generation figure
 DIFF_RUNS = 11  # timed runs per run_differential figure
 TABLE_RUNS = 5  # timed replays per table-op figure
 CONSTRUCTIONS = 11  # timed constructions per table-construction figure
+LOOKUP_KEYS = 256  # keys per tombstone lookup pass, and pairs per churn pass
 TABLES = ((CompactTable, "compact"), (TombstoneTable, "tombstone"))
 MIX = (0.45, 0.35, 0.20)
 UNIVERSE = (0, 2 * CAPACITY)
@@ -86,7 +97,7 @@ GEN_SPECS = {
 }
 DRAWS = 200_000
 TIMINGS = ("check_invariants_ms", "probe_stats_ms", "s_per_100k_ops", "ns_per_draw", "us_per_op",
-           "us_per_table", "ru_minflt")
+           "us_per_table", "us_per_pair", "ru_minflt")
 
 
 def _keys(seed: int, count: int) -> list[int]:
@@ -262,6 +273,54 @@ def table_rows() -> dict:
     return rows
 
 
+def _us_per_call(fn, keys, bracket: float) -> float:
+    clock = time.perf_counter_ns
+    total = 0
+    for key in keys:
+        t0 = clock()
+        fn(key)
+        total += clock() - t0
+    return (total / len(keys) - bracket) / 1e3
+
+
+def _us_per_pair(table, victims, fresh, bracket: float) -> float:
+    remove, insert = table.remove_counted, table.insert_counted
+    clock = time.perf_counter_ns
+    total = 0
+    for victim, key in zip(victims, fresh):
+        t0 = clock()
+        remove(victim)
+        insert(key)
+        total += clock() - t0
+    return (total / len(fresh) - bracket) / 1e3
+
+
+def lookup_rows() -> dict:
+    bracket = _bracket_ns()
+    rows = {}
+    for step in STEPS:
+        for point, build in ((f"tombstone/step{step}/load{SATURATED_LOAD}",
+                              lambda s=step: _filled(TombstoneTable, s, round(SATURATED_LOAD * CAPACITY))),
+                             (f"tombstone-saturated/step{step}/load{SATURATED_LOAD}", lambda s=step: _saturated(s))):
+            t = build()
+            stored = random.Random(step).sample(sorted(t.keys()), LOOKUP_KEYS)
+            absent = [k + (1 << 40) for k in _keys(100 + step, (TABLE_RUNS + 2) * LOOKUP_KEYS)]
+            for name, keys in (("contains_stored", stored), ("contains_absent", absent[:LOOKUP_KEYS])):
+                _us_per_call(t.contains_counted, keys, bracket)
+                us = statistics.median(_us_per_call(t.contains_counted, keys, bracket) for _ in range(TABLE_RUNS))
+                rows[f"lookup/{point}/{name}"] = {"calls": LOOKUP_KEYS, "us_per_op": round(us, 4)}
+            victims, passes = stored, []
+            for r in range(1, TABLE_RUNS + 2):
+                fresh = absent[r * LOOKUP_KEYS:(r + 1) * LOOKUP_KEYS]
+                passes.append(_us_per_pair(t, victims, fresh, bracket))
+                victims = fresh
+            if len(t) != round(SATURATED_LOAD * CAPACITY) or not check_invariants(t).passed:
+                raise SystemExit(f"lookup/{point}: the churn passes left a wrong table")
+            rows[f"lookup/{point}/remove_insert_pair"] = {"pairs": LOOKUP_KEYS,
+                                                          "us_per_pair": round(statistics.median(passes[1:]), 4)}
+    return rows
+
+
 def run() -> dict:
     rows = {}
     for point, build in grid():
@@ -275,7 +334,7 @@ def run() -> dict:
             "probe_stats_ms": median_ms(probe_stats, t),
         }
         print(point, rows[point], flush=True)
-    for point, row in (generation_rows() | differential_rows() | table_rows()).items():
+    for point, row in (generation_rows() | differential_rows() | table_rows() | lookup_rows()).items():
         rows[point] = row
         print(point, row, flush=True)
     return rows

@@ -85,7 +85,9 @@ class OpenAddressTable:
 
     Instances are single-writer: no call is safe concurrently with a
     mutation on the same instance, but distinct instances are independent
-    and may live on different threads.
+    and may live on different threads. A TombstoneTable lookup may compress
+    its next-FREE pointers, yet concurrent lookups agree: each such write
+    stores the first FREE slot after the slot written, which no lookup moves.
     """
 
     __slots__ = ("_params", "_capacity", "_step", "_keys", "_live")

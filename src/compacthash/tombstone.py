@@ -5,14 +5,16 @@ searches must walk through deleted slots, and insertions may reuse them.
 The count of non-FREE slots therefore never decreases, which is the
 degradation the compact table avoids and the benchmark CLI measures.
 
-Probe costs reported by this module count slots a classical walk would
-examine. Searches and deletions are literal walks. Insertion places the
-key exactly where the walk would, without walking the whole path: a
-membership dict settles duplicates, the placement walk crosses only BUSY
-slots, and the classical count up to the first FREE slot comes from
-next-FREE pointers with path compression (FREE slots never reappear
-before a rehash). Its cost therefore does not grow with capacity, even
-on a saturated table where the classical walk is Theta(capacity).
+Every op reports the slots the classical walk from the key's home slot
+would examine, the slot it stops on included: (stop - home) * step^-1
+mod capacity + 1. A FREE home is its own stop. Otherwise a key-to-slot
+dict settles membership: a present key stops the walk on its own slot,
+which lies before the first FREE slot on its path, and an absent key's
+walk stops on that first FREE slot, found by next-FREE pointers with
+path compression (FREE slots never reappear before a rehash). Only
+insertion walks, and only across the BUSY slots before the slot it
+takes, so no op's cost grows with capacity, even on a saturated table
+where the classical walk is Theta(capacity).
 """
 
 from array import array
@@ -74,30 +76,21 @@ class TombstoneTable(OpenAddressTable):
 
     # -- membership ----------------------------------------------------
 
-    # Every op writes its probe walk out, and insert its key and growth
-    # checks too: a shared method would add a Python call, which costs
-    # about as much as a short lookup.
     def contains_counted(self, key: int) -> tuple[bool, int]:
         """Like contains, also returning the slots examined, terminator or hit included."""
         m = self._capacity
-        step = self._step
-        st = self._states
-        keys = self._keys
-        i = key % m
-        n = 1
-        while True:
-            s = st[i]
-            if s == FREE:
-                return False, n
-            if s == BUSY and keys[i] == key:
-                return True, n
-            i += step
-            if i >= m:
-                i -= m
-            n += 1
+        home = key % m
+        if self._states[home] == FREE:  # a key that is no int raises here, before _slot_of can match it by hash
+            return False, 1
+        i = self._slot_of.get(key)
+        if i is None:
+            return False, (self._first_free(home) - home) * self._inv_step % m + 1
+        return True, (i - home) * self._inv_step % m + 1
 
     # -- insertion ------------------------------------------------------
 
+    # insert writes its walk and its key and growth checks out: a shared
+    # method would add a Python call, about the cost of a short lookup.
     def insert_counted(self, key: int) -> tuple[bool, int]:
         """Reuse the first tombstone on the probe path if the key is absent,
         otherwise take the first FREE slot; count as the classical walk.
@@ -162,22 +155,14 @@ class TombstoneTable(OpenAddressTable):
     def remove_counted(self, key: int) -> tuple[bool, int]:
         """Mark key's slot DELETED; the slot stays on every probe path."""
         m = self._capacity
-        step = self._step
+        home = key % m
         st = self._states
-        keys = self._keys
-        i = key % m
-        n = 1
-        while True:
-            s = st[i]
-            if s == FREE:
-                return False, n
-            if s == BUSY and keys[i] == key:
-                st[i] = DELETED
-                keys[i] = 0
-                self._live -= 1
-                del self._slot_of[key]
-                return True, n
-            i += step
-            if i >= m:
-                i -= m
-            n += 1
+        if st[home] == FREE:  # a key that is no int raises here, before _slot_of can match it by hash
+            return False, 1
+        i = self._slot_of.pop(key, None)
+        if i is None:
+            return False, (self._first_free(home) - home) * self._inv_step % m + 1
+        st[i] = DELETED
+        self._keys[i] = 0
+        self._live -= 1
+        return True, (i - home) * self._inv_step % m + 1

@@ -170,9 +170,11 @@ def test_non_int_key_equal_to_a_live_key_raises(cls):
     table = cls(TableParams(7, 1))
     table.insert(1)
     before = _snapshot(table)
-    with pytest.raises(TypeError):
-        table.insert(1.0)
-    assert _snapshot(table) == before
+    for op in (table.insert, table.contains, table.remove):
+        with pytest.raises(TypeError):
+            op(1.0)
+        assert _snapshot(table) == before
+    assert table.contains(1) and table.remove(1)  # and the int key is still found
 
 
 def test_default_params():

@@ -19,7 +19,7 @@ def states(table):
 
 
 class WalkingReference:
-    """Literal three-state walk, used as the oracle for placement.
+    """Literal three-state walk, used as the oracle for placement and probe counts.
 
     Probes one slot at a time: remembers the first DELETED slot, stops at
     FREE or on the key, reuses the remembered tombstone if the key was
@@ -48,6 +48,7 @@ class WalkingReference:
             if s == DELETED and reuse < 0:
                 reuse = i
             i = (i + self.step) % self.m
+
     def insert(self, key):
         return self.insert_counted(key)[0]
 
@@ -68,14 +69,13 @@ class WalkingReference:
     def contains_counted(self, key):
         return self._walk(key)[2:]
 
-    def remove(self, key):
-        i, _, found, _ = self._walk(key)
-        if not found:
-            return False
-        self.states[i] = DELETED
-        self.keys[i] = 0
-        self.live -= 1
-        return True
+    def remove_counted(self, key):
+        i, _, found, n = self._walk(key)
+        if found:
+            self.states[i] = DELETED
+            self.keys[i] = 0
+            self.live -= 1
+        return found, n
 
     def state_bytes(self):
         import array
@@ -254,21 +254,26 @@ def test_matches_walking_reference_exactly(ops, shape):
         elif kind == "c":
             assert t.contains_counted(key) == ref.contains_counted(key)
         else:
-            assert t.remove(key) is ref.remove(key)
+            assert t.remove_counted(key) == ref.remove_counted(key)
         assert t.state_bytes() == ref.state_bytes()
+        # every op answers from _slot_of, which check_invariants does not read
+        cells = (t.slot(i) for i in range(capacity))
+        assert t._slot_of == {cell.key: i for i, cell in enumerate(cells) if cell.state == BUSY}
         report = check_invariants(t)
         assert report.passed, report.violations
 
 
 def test_saturation_transition_matches_reference():
     # drive a step-3 table from empty all the way to a single FREE slot;
-    # states and costs must track the literal walk
+    # states and costs must track the literal walk, lookups included: a
+    # miss on a saturated table stops on the FREE slot _first_free finds
     from compacthash import SplitMix64
 
     capacity, step = 1024, 3
     table = TombstoneTable(TableParams(capacity, step))
     ref = WalkingReference(capacity, step)
     rng = SplitMix64(99)
+    fresh = SplitMix64(7)  # keys for misses, drawn apart so rng's sequence stays as it was
     live = []
     full_hits = 0
     for round_no in range(64):
@@ -286,11 +291,13 @@ def test_saturation_transition_matches_reference():
             assert n == ref_n
             if expected:
                 live.append(key)
+        for key in live[:4] + [fresh.next_u64() - 2**63 for _ in range(4)]:
+            assert table.contains_counted(key) == ref.contains_counted(key)
         for _ in range(48):
             if not live:
                 break
             key = live.pop(rng.next_u64() % len(live))
-            assert table.remove(key) is ref.remove(key)
+            assert table.remove_counted(key) == ref.remove_counted(key)
         assert table.state_bytes() == ref.state_bytes()
         if capacity - table.non_free_count == 1 and full_hits:
             break
