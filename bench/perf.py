@@ -54,11 +54,33 @@ so running the script once with another checkout's src on PYTHONPATH
 each run the file's summary is rebuilt: per label and grid point, the
 median over that label's runs, and once a run labelled "parent" is in
 the file, the parent's median divided by each other label's.
+
+    PYTHONPATH=src python bench/perf.py --label change --out BENCH_16.json \
+        --parent-src ../parent/src
+
+runs an in-process A/B instead, because separate runs of the same code
+spread up to 2x on a drifting host. It imports the package under DIR as
+compacthash_parent (every import inside the package is relative), builds
+each grid table once per version from the same keys, requires equal
+state_bytes() and equal check_invariants and probe_stats reports, and
+then times the two versions in PAIRS pairs whose order alternates. Each
+side of a pair makes as many calls as fill about PAIR_S seconds. The
+fuzz-checked loop is one more point: run_differential with
+check_every=1 on the first 200 ops of the 10,000-op workloads of seeds
+0-7 at step 1 and at step 3, the shape of the perfbench fuzz-checked
+workload and of the acceptance per-op campaign. Per point, the run
+records the median of the paired change/parent time ratios, their
+quartiles and the number of pairs the change won, under
+paired/<label>. Giving this checkout's own src as DIR makes an A/A run,
+which shows the spread of the method itself.
 """
 
 import argparse
 import gc
+import importlib
+import importlib.util
 import json
+import math
 import os
 import platform
 import random
@@ -88,6 +110,10 @@ DIFF_RUNS = 11  # timed runs per run_differential figure
 TABLE_RUNS = 5  # timed replays per table-op figure
 CONSTRUCTIONS = 11  # timed constructions per table-construction figure
 LOOKUP_KEYS = 256  # keys per tombstone lookup pass, and pairs per churn pass
+PAIRS = 31  # alternating pairs per in-process A/B figure
+PAIR_S = 0.005  # seconds of calls on each side of a pair, roughly
+FUZZ_SEEDS = range(8)  # seeds of the fuzz-checked loop
+FUZZ_PREFIX = 200  # ops per fuzz-checked seed
 TABLES = ((CompactTable, "compact"), (TombstoneTable, "tombstone"))
 MIX = (0.45, 0.35, 0.20)
 UNIVERSE = (0, 2 * CAPACITY)
@@ -105,16 +131,16 @@ def _keys(seed: int, count: int) -> list[int]:
     return [int(k) for k in rng.choice(1 << 40, size=count, replace=False)]
 
 
-def _filled(kind, step: int, count: int):
-    t = kind(TableParams(CAPACITY, step))
+def _filled(kind, step: int, count: int, pkg=compacthash):
+    t = getattr(pkg, kind.__name__)(pkg.TableParams(CAPACITY, step))
     for key in _keys(step, count):
         t.insert(key)
     return t
 
 
-def _saturated(step: int) -> TombstoneTable:
+def _saturated(step: int, pkg=compacthash) -> TombstoneTable:
     """Tombstone table filled to every slot but one, then emptied to SATURATED_LOAD."""
-    t = TombstoneTable(TableParams(CAPACITY, step))
+    t = pkg.TombstoneTable(pkg.TableParams(CAPACITY, step))
     keys = _keys(step, CAPACITY - 1)
     for key in keys:
         t.insert(key)
@@ -123,39 +149,41 @@ def _saturated(step: int) -> TombstoneTable:
     return t
 
 
-def _bench_churned() -> TombstoneTable:
+def _bench_churned(pkg=compacthash) -> TombstoneTable:
     """The tombstone table of a default compacthash bench after BENCH_ROUNDS rounds.
 
     Runs the bench itself with --rounds BENCH_ROUNDS, through a
     probe_stats hook that keeps the last tombstone table it sees.
     """
-    inner = compacthash.cli.probe_stats
+    cli = importlib.import_module(pkg.__name__ + ".cli")
+    inner = cli.probe_stats
     last = None
 
     def keep_tombstone(table):
         nonlocal last
-        if isinstance(table, TombstoneTable):
+        if isinstance(table, pkg.TombstoneTable):
             last = table
         return inner(table)
 
-    compacthash.cli.probe_stats = keep_tombstone
+    cli.probe_stats = keep_tombstone
     try:
         with tempfile.TemporaryDirectory() as out_dir:
-            if compacthash.cli.main(["bench", "--rounds", str(BENCH_ROUNDS), "--out-dir", out_dir]) != 0:
+            if cli.main(["bench", "--rounds", str(BENCH_ROUNDS), "--out-dir", out_dir]) != 0:
                 raise SystemExit("compacthash bench failed")
     finally:
-        compacthash.cli.probe_stats = inner
+        cli.probe_stats = inner
     return last
 
 
 def grid():
+    """(point, build): build(pkg) makes the point's table with package pkg's classes."""
     sizes = [(f"load{load}", round(load * CAPACITY)) for load in LOADS]
     sizes += [(f"keys{count}", count) for count in KEY_COUNTS]
     for step in STEPS:
         for size, count in sizes:
-            for kind, name in ((CompactTable, "compact"), (TombstoneTable, "tombstone")):
-                yield f"{name}/step{step}/{size}", lambda k=kind, s=step, n=count: _filled(k, s, n)
-        yield f"tombstone-saturated/step{step}/load{SATURATED_LOAD}", lambda s=step: _saturated(s)
+            for kind, name in TABLES:
+                yield f"{name}/step{step}/{size}", lambda pkg, k=kind, s=step, n=count: _filled(k, s, n, pkg)
+        yield f"tombstone-saturated/step{step}/load{SATURATED_LOAD}", lambda pkg, s=step: _saturated(s, pkg)
     yield f"tombstone-bench-churned/step1/round{BENCH_ROUNDS}", _bench_churned
 
 
@@ -324,7 +352,7 @@ def lookup_rows() -> dict:
 def run() -> dict:
     rows = {}
     for point, build in grid():
-        t = build()
+        t = build(compacthash)
         if not check_invariants(t).passed:
             raise SystemExit(f"{point}: the table fails check_invariants")
         rows[point] = {
@@ -337,6 +365,71 @@ def run() -> dict:
     for point, row in (generation_rows() | differential_rows() | table_rows() | lookup_rows()).items():
         rows[point] = row
         print(point, row, flush=True)
+    return rows
+
+
+def load_package(src: Path):
+    """Import the compacthash package under src as compacthash_parent."""
+    name = "compacthash_parent"
+    spec = importlib.util.spec_from_file_location(name, src / "compacthash" / "__init__.py",
+                                                  submodule_search_locations=[str(src / "compacthash")])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return pkg
+
+
+def paired(change, parent) -> dict:
+    """Median change/parent time ratio over PAIRS pairs of alternating order."""
+    parent()
+    change()
+    t0 = time.perf_counter()
+    change()
+    calls = max(1, math.ceil(PAIR_S / (time.perf_counter() - t0)))
+    ratios = []
+    for i in range(PAIRS):
+        spent = [0.0, 0.0]
+        for side in ((1, 0) if i % 2 else (0, 1)):
+            fn = (change, parent)[side]
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            spent[side] = time.perf_counter() - t0
+        ratios.append(spent[0] / spent[1])
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    return {"ratio_median": round(median, 4), "ratio_iqr": [round(q1, 4), round(q3, 4)],
+            "wins": sum(r < 1 for r in ratios), "pairs": PAIRS, "calls_per_side": calls}
+
+
+def paired_rows(parent) -> dict:
+    rows = {}
+    for point, build in grid():
+        t, u = build(compacthash), build(parent)
+        if t.state_bytes() != u.state_bytes():
+            raise SystemExit(f"{point}: the two versions built different tables")
+        if not check_invariants(t).passed:
+            raise SystemExit(f"{point}: the table fails check_invariants")
+        rows[point] = {}
+        for name in ("check_invariants", "probe_stats"):
+            fn, parent_fn = getattr(compacthash, name), getattr(parent, name)
+            if fn(t).to_json_dict() != parent_fn(u).to_json_dict():
+                raise SystemExit(f"{point}: {name} reports differ between the two versions")
+            rows[point][name] = paired(lambda: fn(t), lambda: parent_fn(u))
+        print(point, rows[point], flush=True)
+    for step in STEPS:
+        loops = []
+        for pkg in (compacthash, parent):
+            params = pkg.TableParams(CAPACITY, step)
+            seqs = [pkg.generate_workload(pkg.WorkloadSpec(seed, 10_000, UNIVERSE, MIX))[:FUZZ_PREFIX]
+                    for seed in FUZZ_SEEDS]
+            loops.append(lambda pkg=pkg, params=params, seqs=seqs:
+                         [pkg.run_differential(ops, params, check_every=1).to_json_dict() for ops in seqs])
+        verdicts = loops[0]()
+        if verdicts != loops[1]() or not all(v["passed"] for v in verdicts):
+            raise SystemExit(f"fuzz-checked/step{step}: the verdicts fail or differ between the two versions")
+        point = f"fuzz-checked/step{step}/seeds{len(FUZZ_SEEDS)}x{FUZZ_PREFIX}"
+        rows[point] = {"run_differential": paired(*loops)}
+        print(point, rows[point], flush=True)
     return rows
 
 
@@ -364,13 +457,20 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="name this run is filed under, e.g. parent or change")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to add this run to")
+    ap.add_argument("--parent-src", type=Path, metavar="DIR",
+                    help="time check_invariants, probe_stats and the fuzz-checked loop in-process, "
+                         "paired against the package under DIR")
     args = ap.parse_args()
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
     doc["capacity"] = CAPACITY
     doc["host"] = {"python": platform.python_version(), "numpy": np.__version__,
                    "machine": platform.machine(), "cpus": os.cpu_count()}
-    doc["runs"].append({"label": args.label, "rows": run()})
+    if args.parent_src:
+        doc.setdefault("paired", {})[args.label] = {"parent_src": str(args.parent_src),
+                                                    "rows": paired_rows(load_package(args.parent_src))}
+    else:
+        doc["runs"].append({"label": args.label, "rows": run()})
     doc["summary"] = summarize(doc)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
 

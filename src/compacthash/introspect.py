@@ -16,21 +16,25 @@ and sorted, and at step 1 it is the occupied slots themselves.
 
 Reachability (Knuth, TAOCP Vol. 3, 6.4, Algorithm R: a key is found iff
 no empty slot lies between its home and its slot) is a predecessor test
-on cp. Let rank be a key's index in cp. The d path positions before the
-key are all occupied iff the d-th occupied position before it,
-cp[rank - d] taken cyclically, lies exactly d steps back: O(1) per key,
-with no prefix sums. Only a key that fails the test has its occupied
-path positions counted, for the report. Duplicate keys are screened
-with one sort; the stable argsort that names the reported slots runs
-only when the screen finds a repeat. probe_stats reads its cluster
-lengths and its exact mean miss cost from the runs of consecutive
-positions in cp.
+on cp. Let rank be a key's index in cp and d the path positions before
+it: its probe count minus 1 in a compact table, the cycle distance from
+its home in a tombstone table. When the key lies d positions past its
+home, those d positions are all occupied iff the d-th occupied position
+before it, cp[rank - d] taken cyclically, is its home: O(1) per key,
+with no prefix sums. probe_stats reads its cluster lengths and its exact
+mean miss cost from the runs of consecutive positions in cp.
 
-A passing check costs one O(capacity) scan of the table, the compare
-and flatnonzero that find its occupied slots, plus a handful of numpy
-calls over the occupied slots, each O(n) or O(n log n). Every pass/fail
-screen settles with one count_nonzero, and detail strings are built
-only after a screen fails.
+A check screens first and builds a report only on failure. A passing
+check costs one O(capacity) scan of the table, the compare and nonzero
+that find its occupied slots, plus one straight run of numpy calls over
+the occupied slots, each O(n) or O(n log n). Placement (which also flags
+every probe count outside 1..m), the predecessor test and one sort that
+finds repeated keys fold into one boolean array, settled by one
+count_nonzero; a tombstone table's invalid states take one more. Only
+after a screen or a counter finds something does the report code run:
+it sorts the findings by kind and slot, counts the occupied path
+positions of each key with a gap, names the slots of repeated keys with
+a stable argsort and builds the detail strings.
 """
 
 from dataclasses import dataclass, field
@@ -123,31 +127,17 @@ def _occupied_in_cycle(occupied: np.ndarray, marks: np.ndarray,
     positions of the occupied slots, slots the slot at each of them
     (cp * step mod m). At step 1 both are the occupied slots.
     """
-    slots = np.flatnonzero(occupied)
+    slots = occupied.nonzero()[0]
     cp = slots
     if step != 1:
         m = occupied.size
-        # here and in the tombstone home positions (kb % m * inverse, taken
-        # mod m together with the distance to the key's position), both
+        # here and in the checkers' home positions (kb % m * inverse), both
         # factors lie below m, as d and step do in _check_compact's d * step:
         # every product stays below m^2, inside int64 while m < 3 * 10^9
-        cp = np.sort(slots * pow(step, -1, m) % m)
+        cp = slots * pow(step, -1, m) % m
+        cp.sort()
         slots = cp * step % m
     return cp, slots, marks[slots]
-
-
-def _path_gap(cp: np.ndarray, cpos: np.ndarray, rank: np.ndarray, d: np.ndarray, m: int) -> np.ndarray:
-    """Whether any of the d cycle positions just before each cpos is unoccupied.
-
-    cp holds the sorted, distinct occupied cycle positions, cpos is
-    cp[rank] and 0 <= d < m. The d positions before cpos are all
-    occupied iff the d-th occupied position before it, cp[rank - d] taken
-    cyclically, lies exactly d steps back: a difference in (-m, m)
-    congruent to d mod m. O(1) per key.
-    """
-    n = cp.size
-    back = cpos - cp[rank - np.minimum(d, n - 1)]  # a negative index wraps once
-    return (d >= n) | (back % m != d)
 
 
 def _occupied_before(cp: np.ndarray, cpos: np.ndarray, d: np.ndarray, m: int) -> np.ndarray:
@@ -164,13 +154,9 @@ def _by_slot(idx: np.ndarray, slots: np.ndarray) -> np.ndarray:
 def _dup_violations(keys_busy: np.ndarray, slots_busy: np.ndarray) -> list[Violation]:
     """DUPLICATE_KEY at every copy of a key after its lowest slot, in key order.
 
-    The pairs may come in any order. A plain sort screens for repeats;
-    putting the pairs in slot order and the stable argsort that decides
-    which slots get reported run only when the screen finds one.
+    The pairs may come in any order; they are put in slot order before the
+    stable argsort that decides which slots get reported.
     """
-    ks = np.sort(keys_busy)
-    if not np.count_nonzero(ks[1:] == ks[:-1]):
-        return []
     by_slot = np.argsort(slots_busy)
     keys_busy, slots_busy = keys_busy[by_slot], slots_busy[by_slot]
     order = np.argsort(keys_busy, kind="stable")
@@ -184,81 +170,93 @@ def _dup_violations(keys_busy: np.ndarray, slots_busy: np.ndarray) -> list[Viola
 
 
 def _check_compact(table: CompactTable) -> ViolationReport:
-    m = table.capacity
-    step = table.params.step
+    m = table._capacity
+    step = table._step
     pc = np.frombuffer(table._probe_counts, dtype=np.int64)
     keys = np.frombuffer(table._keys, dtype=np.int64)
     # every nonzero count marks a busy slot, as it does for the table's walks
-    cp, slots, counts = _occupied_in_cycle(pc != 0, pc, step)
-    report = ViolationReport()
-
+    cp, busy, counts = _occupied_in_cycle(pc != 0, pc, step)
     live = cp.size
+    d = counts - 1  # path slots before each key
+    ks = keys[busy]
+    hp = ks % m if step == 1 else ks % m * pow(step, -1, m) % m  # home positions
+    # a remainder mod m lies in 0..m-1, so this flags every count outside 1..m too
+    wrong = (cp - hp) % m != d
+    # the predecessor test, with d clipped to 0..live-1 so that rank - d indexes cp
+    gap = (d >= live) | (cp[np.arange(live) - np.maximum(np.minimum(d, live - 1), 0)] != hp)
+    flags = wrong | gap
+    ks.sort()
+    flags[1:] |= ks[1:] == ks[:-1]  # a repeated key
+    if live == table._live and live < m and not np.count_nonzero(flags):
+        return ViolationReport()
+
+    report = ViolationReport()
     if live != len(table):
         report.violations.append(Violation(-1, COUNT_MISMATCH, f"live_count {len(table)} but {live} busy slots"))
     if live > m - 1:
         report.violations.append(Violation(-1, COUNT_MISMATCH, f"occupancy cap violated: {live} busy of {m} slots"))
     if live == 0:
         return report
-
-    kb = keys[slots]
-    d = counts - 1  # path slots before each key
     # a count outside 1..m, negative ones included, is a d of m or more as uint64
     bad_range = d.view(np.uint64) >= m
-    if np.count_nonzero(bad_range):
-        for s in slots[_by_slot(np.flatnonzero(bad_range), slots)]:
-            count = int(pc[s])
-            detail = f"exceeds capacity {m}" if count > m else "is negative"
-            report.violations.append(Violation(int(s), SLOT_INCONSISTENT, f"probe_count {count} {detail}"))
-        # every busy slot stays occupied on the paths, whatever its count
-        rank = np.flatnonzero(~bad_range)
-        slots, d, kb, cpos = slots[rank], d[rank], kb[rank], cp[rank]
-    else:
-        rank, cpos = np.arange(live), cp
-
+    for s in busy[_by_slot(np.flatnonzero(bad_range), busy)]:
+        count = int(pc[s])
+        detail = f"exceeds capacity {m}" if count > m else "is negative"
+        report.violations.append(Violation(int(s), SLOT_INCONSISTENT, f"probe_count {count} {detail}"))
+    # every busy slot stays occupied on the paths, whatever its count, but
+    # only the keys with a count in range are placed, compared and walked
+    rank = np.flatnonzero(~bad_range)
+    slots, d, cpos, wrong, gap = busy[rank], d[rank], cp[rank], wrong[rank], gap[rank]
+    kb = keys[slots]
     expect = (kb % m + d * step) % m
-    wrong = expect != slots
-    if np.count_nonzero(wrong):
-        for i in _by_slot(np.flatnonzero(wrong), slots):
-            s = int(slots[i])
-            report.violations.append(Violation(
-                s, SLOT_INCONSISTENT,
-                f"key {int(kb[i])} with probe_count {int(d[i]) + 1} belongs at slot {int(expect[i])}, found at {s}"))
-
+    for i in _by_slot(np.flatnonzero(wrong), slots):
+        s = int(slots[i])
+        report.violations.append(Violation(
+            s, SLOT_INCONSISTENT,
+            f"key {int(kb[i])} with probe_count {int(d[i]) + 1} belongs at slot {int(expect[i])}, found at {s}"))
     report.violations.extend(_dup_violations(kb, slots))
-
-    gap = _path_gap(cp, cpos, rank, d, m)
-    if np.count_nonzero(gap):
-        # a slot with a broken probe count has no meaningful path; only
-        # report gaps where the stored count itself is trustworthy
-        idx = _by_slot(np.flatnonzero(gap & ~wrong), slots)
-        filled = _occupied_before(cp, cpos[idx], d[idx], m)
-        for i, f in zip(idx, filled):
-            s = int(slots[i])
-            report.violations.append(Violation(
-                s, REACHABILITY_GAP,
-                f"key {int(kb[i])} at slot {s}: only {int(f)} of {int(d[i])} path slots busy"))
+    # a slot with a broken probe count has no meaningful path; only
+    # report gaps where the stored count itself is trustworthy
+    idx = _by_slot(np.flatnonzero(gap & ~wrong), slots)
+    filled = _occupied_before(cp, cpos[idx], d[idx], m)
+    for i, f in zip(idx, filled):
+        s = int(slots[i])
+        report.violations.append(Violation(
+            s, REACHABILITY_GAP,
+            f"key {int(kb[i])} at slot {s}: only {int(f)} of {int(d[i])} path slots busy"))
     return report
 
 
 def _check_tombstone(table: TombstoneTable) -> ViolationReport:
-    m = table.capacity
-    step = table.params.step
+    m = table._capacity
+    step = table._step
     st = np.frombuffer(table._states, dtype=np.int8)
     keys = np.frombuffer(table._keys, dtype=np.int64)
     # invalid states block no path, as DELETED ones do
     cp, slots, marks = _occupied_in_cycle(st != FREE, st, step)
-    report = ViolationReport()
-
+    non_free = cp.size
     # FREE is 0 and DELETED the largest state, so as bytes every invalid
     # state, negative ones included, compares above DELETED
     invalid = marks.view(np.uint8) > DELETED
-    if np.count_nonzero(invalid):
-        for s in np.sort(slots[invalid]):
-            report.violations.append(Violation(int(s), SLOT_INCONSISTENT, f"invalid state {int(st[s])}"))
-
-    rank = np.flatnonzero(marks == BUSY)
+    rank = (marks == BUSY).nonzero()[0]
     live = rank.size
-    non_free = cp.size
+    cpos, busy = cp[rank], slots[rank]  # BUSY slots in cycle order
+    ks = keys[busy]
+    hp = ks % m if step == 1 else ks % m * pow(step, -1, m) % m  # home positions
+    dist = (cpos - hp) % m
+    # the predecessor test, as in _check_compact
+    gap = (dist >= non_free) | (cp[rank - np.minimum(dist, non_free - 1)] != hp)
+    flags = gap.copy()
+    ks.sort()
+    flags[1:] |= ks[1:] == ks[:-1]  # a repeated key
+    if (live == table._live and non_free == table._non_free and non_free < m
+            and not np.count_nonzero(invalid) and not np.count_nonzero(flags)):
+        return ViolationReport()
+
+    kb = keys[busy]
+    report = ViolationReport()
+    for s in np.sort(slots[invalid]):
+        report.violations.append(Violation(int(s), SLOT_INCONSISTENT, f"invalid state {int(st[s])}"))
     if live != len(table):
         report.violations.append(Violation(-1, COUNT_MISMATCH, f"live_count {len(table)} but {live} BUSY slots"))
     if non_free != table.non_free_count:
@@ -268,21 +266,14 @@ def _check_tombstone(table: TombstoneTable) -> ViolationReport:
         report.violations.append(Violation(-1, COUNT_MISMATCH, f"occupancy cap violated: {non_free} non-FREE of {m} slots"))
     if live == 0:
         return report
-
-    cpos, slots = cp[rank], slots[rank]  # BUSY slots in cycle order
-    kb = keys[slots]
-    report.violations.extend(_dup_violations(kb, slots))
-
-    dist = (cpos - kb % m * pow(step, -1, m)) % m
-    gap = _path_gap(cp, cpos, rank, dist, m)
-    if np.count_nonzero(gap):
-        idx = _by_slot(np.flatnonzero(gap), slots)
-        free_on_path = dist[idx] - _occupied_before(cp, cpos[idx], dist[idx], m)
-        for i, f in zip(idx, free_on_path):
-            s = int(slots[i])
-            report.violations.append(Violation(
-                s, REACHABILITY_GAP,
-                f"key {int(kb[i])} at slot {s}: {int(f)} FREE slot(s) on its probe path"))
+    report.violations.extend(_dup_violations(kb, busy))
+    idx = _by_slot(np.flatnonzero(gap), busy)
+    free_on_path = dist[idx] - _occupied_before(cp, cpos[idx], dist[idx], m)
+    for i, f in zip(idx, free_on_path):
+        s = int(busy[i])
+        report.violations.append(Violation(
+            s, REACHABILITY_GAP,
+            f"key {int(kb[i])} at slot {s}: {int(f)} FREE slot(s) on its probe path"))
     return report
 
 

@@ -7,18 +7,22 @@ return the same report: the same violations in the same order with the
 same detail strings. Fixed step-3 tables whose probe paths interleave in
 slot order, sparse to saturated, and a table at a prime capacity above
 2^20 with step m - 2, whose cycle positions need a large inverse, are
-checked clean and corrupted.
+checked clean and corrupted. So are the 65,536-slot tables the per-op
+checks run on, at steps 1 and 3, with about 130 and about 4,400 keys:
+corrupted at random, and by corruptions that only one of the checker's
+screens can see.
 """
 
-from math import gcd
-
+import copy
+import functools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compacthash import (BUSY, DELETED, FREE, CompactTable, TableFullError, TableParams,
-                         TombstoneTable, check_invariants)
+from compacthash import (ADD, BUSY, DELETED, FREE, REMOVE, CompactTable, TableFullError, TableParams,
+                         TombstoneTable, WorkloadSpec, check_invariants, generate_workload)
 from compacthash.probing import KEY_MAX, KEY_MIN
 
 import prefix_sum_checker
@@ -187,3 +191,130 @@ def test_corrupted_big_prime_table(kind, data):
     _corrupt(data, t)
     new = check_invariants(t).to_json_dict()
     assert new == prefix_sum_checker.check_invariants(t).to_json_dict()
+
+
+# The shapes the per-op checks run at: 65,536-slot tables replaying seed 0
+# of the acceptance per-op campaign. 260 ops leave about 130 keys, the
+# perfbench fuzz-checked shape, and all 10,000 leave the campaign's last
+# table, 4,378 keys.
+WM = 1 << 16
+WORKLOAD_SHAPES = {f"{kind.__name__}-step{step}-{op_count}ops": (kind, step, op_count)
+                   for kind in (CompactTable, TombstoneTable) for step in (1, 3) for op_count in (260, 10_000)}
+
+
+@functools.cache
+def _campaign_table(kind, step, op_count):
+    t = kind(TableParams(WM, step))
+    for op in generate_workload(WorkloadSpec(0, 10_000, (0, 2 * WM), (0.45, 0.35, 0.20)))[:op_count]:
+        if op.kind == ADD:
+            t.insert(op.key)
+        elif op.kind == REMOVE:
+            t.remove(op.key)
+    return t
+
+
+def _workload_table(name):
+    return copy.deepcopy(_campaign_table(*WORKLOAD_SHAPES[name]))
+
+
+@pytest.mark.parametrize("name", WORKLOAD_SHAPES)
+def test_workload_shape_tables_pass(name):
+    t = _workload_table(name)
+    report = check_invariants(t)
+    assert report.passed
+    assert report.to_json_dict() == prefix_sum_checker.check_invariants(t).to_json_dict()
+
+
+@pytest.mark.parametrize("name", WORKLOAD_SHAPES)
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_corrupted_workload_shape_tables(name, corruptions, data):
+    t = _workload_table(name)
+    for _ in range(corruptions):
+        _corrupt(data, t)
+    new = check_invariants(t).to_json_dict()
+    assert new == prefix_sum_checker.check_invariants(t).to_json_dict()
+
+
+def _cycle(t):
+    """t's occupied slots in probe-cycle order."""
+    marks = t._probe_counts if isinstance(t, CompactTable) else t._states
+    inverse = pow(t.params.step, -1, t.capacity)
+    return sorted((s for s in range(t.capacity) if marks[s]), key=lambda s: s * inverse % t.capacity)
+
+
+def _busy(t):
+    """t's slots that hold a key."""
+    if isinstance(t, CompactTable):
+        return [s for s in range(t.capacity) if t._probe_counts[s]]
+    return [s for s in range(t.capacity) if t._states[s] == BUSY]
+
+
+def _at_home(t):
+    """A slot holding a key in its home slot."""
+    return next(s for s in _busy(t) if t._keys[s] % t.capacity == s)
+
+
+def _silent_duplicate(t):
+    # a second copy of a stored key where a key of the same home sat, so
+    # that both copies are placed and reachable: only the repeat is wrong
+    key = t._keys[_at_home(t)]
+    t.insert(key + 4 * WM)
+    t._keys[next(s for s in _busy(t) if t._keys[s] == key + 4 * WM)] = key
+
+
+def _far_home(t):
+    # the key at one occupied slot is given the next occupied slot in cycle
+    # order as its home: its path then runs around almost the whole cycle,
+    # and the d-th occupied position before it, taken with d clipped to the
+    # occupied count, is that home, so only d >= occupied count flags it
+    cycle = _cycle(t)
+    busy = set(_busy(t))
+    r = next(r for r, s in enumerate(cycle) if s in busy and cycle[(r + 1) % len(cycle)] != s)
+    s, home = cycle[r], cycle[(r + 1) % len(cycle)]
+    t._keys[s] = home + 5 * WM
+    if isinstance(t, CompactTable):
+        inverse = pow(t.params.step, -1, t.capacity)
+        t._probe_counts[s] = (s - home) * inverse % t.capacity + 1
+
+
+def _invalid_state(value):
+    def corrupt(t):
+        s = _at_home(t)  # a DELETED slot: FREE would open a gap, BUSY change the live count
+        t.remove(t._keys[s])
+        t._states[s] = value
+    return corrupt
+
+
+def _count(value):
+    def corrupt(t):
+        t._probe_counts[_at_home(t)] = value(t.capacity)
+    return corrupt
+
+
+def _negative_count_last(t):
+    # at the last occupied cycle position a negative d reaches past the end of the list
+    t._probe_counts[_cycle(t)[-1]] = -2
+
+
+# corruptions aimed at one screen each, and the table kinds they apply to
+TARGETED = {
+    "count-above-capacity": ((CompactTable,), _count(lambda m: m + 1)),
+    "count-negative": ((CompactTable,), _count(lambda m: 1 - m)),
+    "negative-count-last": ((CompactTable,), _negative_count_last),
+    "invalid-state-3": ((TombstoneTable,), _invalid_state(3)),
+    "invalid-state-minus-1": ((TombstoneTable,), _invalid_state(-1)),
+    "silent-duplicate": ((CompactTable, TombstoneTable), _silent_duplicate),
+    "far-home": ((CompactTable, TombstoneTable), _far_home),
+}
+
+
+@pytest.mark.parametrize("name,corruption", [
+    (name, corruption) for name, (kind, _, _) in WORKLOAD_SHAPES.items()
+    for corruption, (kinds, _) in TARGETED.items() if kind in kinds])
+def test_targeted_corruptions_at_workload_shape(name, corruption):
+    t = _workload_table(name)
+    TARGETED[corruption][1](t)
+    report = check_invariants(t)
+    assert not report.passed
+    assert report.to_json_dict() == prefix_sum_checker.check_invariants(t).to_json_dict()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from compacthash import (CapacityTooSmallError, CompactTable, TableFullError,
-                         TableParams, check_invariants)
+                         TableParams, check_invariants, probe_stats)
 
 
 def build(capacity, step=1, keys=(), **kw):
@@ -347,6 +347,47 @@ def replay_cases(draw):
 @example((TableParams(1, 5, growth_enabled=True), [("a", 3), ("a", 4), ("r", 3), ("a", 5), ("a", 6)]))
 def test_state_is_the_replay_of_the_live_keys(case):
     assert replay_mismatch(*case) is None
+
+
+# The deletion-cost identity. _compress scans from the freed slot to the
+# first empty slot after it, relocations included, so removing the key
+# k-th from the end of its cluster scans k slots and a cluster of r keys
+# scans r(r + 1)/2 in all. A miss from the r homes of a cluster costs
+# r + 1, r, ..., 2 and from each of the m - n open homes 1, so m * mean_miss
+# = m - n + sum r(r + 3)/2. Since sum r = n, the scans of removing each
+# live key sum to exactly m * (mean_miss - 1), at every load.
+
+def _copy(t):
+    """A table of t's capacity and step, growth off, in t's state."""
+    c = CompactTable(TableParams(t.capacity, t.params.step))
+    c._probe_counts[:] = t._probe_counts
+    c._keys[:] = t._keys
+    c._live = len(t)
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(replay_cases())
+@example((TableParams(7, 1), [("a", 0), ("a", 7), ("a", 1), ("a", 14), ("a", 3)]))
+def test_compress_scans_sum_to_the_miss_cost_identity(case):
+    params, ops = case
+    t = CompactTable(params)
+    for kind, key in ops:
+        if kind == "r":
+            t.remove(key)
+            continue
+        try:
+            t.insert(key)
+        except TableFullError:
+            pass
+    m = t.capacity
+    mean_miss = probe_stats(t).mean_miss
+    scans = sum(_copy(t).remove_counted(key)[2] for key in t.keys())
+    assert scans == pytest.approx(m * (mean_miss - 1), abs=1e-9)
+    if len(t) < m - 1:  # an absent key's insert costs its miss, on average mean_miss
+        absent = [home - 1000 * m for home in range(m)]  # below every drawn key
+        inserts = sum(_copy(t).insert_counted(key)[1] for key in absent)
+        assert inserts == pytest.approx(m * mean_miss, abs=1e-9)
 
 
 def compress_past_first_eligible(self, free):
