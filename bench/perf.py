@@ -73,6 +73,14 @@ records the median of the paired change/parent time ratios, their
 quartiles and the number of pairs the change won, under
 paired/<label>. Giving this checkout's own src as DIR makes an A/A run,
 which shows the spread of the method itself.
+
+The churn points time `compacthash bench --rounds 4` through each
+version's cli.main in CHURN_PAIRS pairs whose order alternates, and
+require equal bench.csv bytes from the two. A probe_stats hook marks
+where each version's rows are built, so churn/rounds is the time of the
+four churn rounds alone, without the probe_stats calls between them, and
+churn/prefill the time from the call of main to the first row: argument
+parsing, table construction and the prefill to the live target.
 """
 
 import argparse
@@ -110,8 +118,10 @@ DIFF_RUNS = 11  # timed runs per run_differential figure
 TABLE_RUNS = 5  # timed replays per table-op figure
 CONSTRUCTIONS = 11  # timed constructions per table-construction figure
 LOOKUP_KEYS = 256  # keys per tombstone lookup pass, and pairs per churn pass
-PAIRS = 31  # alternating pairs per in-process A/B figure
+PAIRS = 101  # alternating pairs per in-process A/B figure
 PAIR_S = 0.005  # seconds of calls on each side of a pair, roughly
+CHURN_ROUNDS = 4  # rounds of each churn-point bench
+CHURN_PAIRS = 30  # alternating pairs of the churn points
 FUZZ_SEEDS = range(8)  # seeds of the fuzz-checked loop
 FUZZ_PREFIX = 200  # ops per fuzz-checked seed
 TABLES = ((CompactTable, "compact"), (TombstoneTable, "tombstone"))
@@ -379,26 +389,71 @@ def load_package(src: Path):
     return pkg
 
 
+def ratio_row(change_s: list[float], parent_s: list[float]) -> dict:
+    """Median, quartiles and wins of the paired change/parent time ratios."""
+    ratios = [c / p for c, p in zip(change_s, parent_s)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    return {"ratio_median": round(median, 4), "ratio_iqr": [round(q1, 4), round(q3, 4)],
+            "wins": sum(r < 1 for r in ratios), "pairs": len(ratios)}
+
+
 def paired(change, parent) -> dict:
-    """Median change/parent time ratio over PAIRS pairs of alternating order."""
+    """Change/parent time ratios over PAIRS pairs of alternating order."""
     parent()
     change()
     t0 = time.perf_counter()
     change()
     calls = max(1, math.ceil(PAIR_S / (time.perf_counter() - t0)))
-    ratios = []
+    spent = [[], []]
     for i in range(PAIRS):
-        spent = [0.0, 0.0]
         for side in ((1, 0) if i % 2 else (0, 1)):
             fn = (change, parent)[side]
             t0 = time.perf_counter()
             for _ in range(calls):
                 fn()
-            spent[side] = time.perf_counter() - t0
-        ratios.append(spent[0] / spent[1])
-    q1, median, q3 = statistics.quantiles(ratios, n=4)
-    return {"ratio_median": round(median, 4), "ratio_iqr": [round(q1, 4), round(q3, 4)],
-            "wins": sum(r < 1 for r in ratios), "pairs": PAIRS, "calls_per_side": calls}
+            spent[side].append(time.perf_counter() - t0)
+    return ratio_row(*spent) | {"calls_per_side": calls}
+
+
+def _churn_run(pkg) -> tuple[bytes, float, float]:
+    """bench.csv bytes, prefill seconds and round seconds of one bench of pkg."""
+    cli = importlib.import_module(pkg.__name__ + ".cli")
+    inner = cli.probe_stats
+    marks = []  # perf_counter on entering and on leaving each probe_stats call
+
+    def marked(table):
+        marks.append(time.perf_counter())
+        stats = inner(table)
+        marks.append(time.perf_counter())
+        return stats
+
+    cli.probe_stats = marked
+    try:
+        with tempfile.TemporaryDirectory() as out_dir:
+            t0 = time.perf_counter()
+            if cli.main(["bench", "--rounds", str(CHURN_ROUNDS), "--out-dir", out_dir]) != 0:
+                raise SystemExit(f"{pkg.__name__}: compacthash bench failed")
+            csv = Path(out_dir, "bench.csv").read_bytes()
+    finally:
+        cli.probe_stats = inner
+    # four marks per round's rows, so round r runs from the end of round
+    # r - 1's rows, mark 4r - 1, to the start of its own, mark 4r
+    rounds = sum(marks[4 * r] - marks[4 * r - 1] for r in range(1, CHURN_ROUNDS + 1))
+    return csv, marks[0] - t0, rounds
+
+
+def churn_rows(parent) -> dict:
+    spent = {"churn/prefill": [[], []], "churn/rounds": [[], []]}
+    csv = {_churn_run(compacthash)[0], _churn_run(parent)[0]}
+    for i in range(CHURN_PAIRS):
+        for side in ((1, 0) if i % 2 else (0, 1)):
+            out, prefill, rounds = _churn_run((compacthash, parent)[side])
+            csv.add(out)
+            spent["churn/prefill"][side].append(prefill)
+            spent["churn/rounds"][side].append(rounds)
+    if len(csv) != 1:
+        raise SystemExit("churn: the two versions wrote different bench.csv bytes")
+    return {point: {"bench": ratio_row(*sides)} for point, sides in spent.items()}
 
 
 def paired_rows(parent) -> dict:
@@ -430,6 +485,9 @@ def paired_rows(parent) -> dict:
         point = f"fuzz-checked/step{step}/seeds{len(FUZZ_SEEDS)}x{FUZZ_PREFIX}"
         rows[point] = {"run_differential": paired(*loops)}
         print(point, rows[point], flush=True)
+    for point, row in churn_rows(parent).items():
+        rows[point] = row
+        print(point, row, flush=True)
     return rows
 
 
@@ -458,7 +516,7 @@ def main() -> None:
     ap.add_argument("--label", required=True, help="name this run is filed under, e.g. parent or change")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to add this run to")
     ap.add_argument("--parent-src", type=Path, metavar="DIR",
-                    help="time check_invariants, probe_stats and the fuzz-checked loop in-process, "
+                    help="time check_invariants, probe_stats, the fuzz-checked loop and the churn rounds in-process, "
                          "paired against the package under DIR")
     args = ap.parse_args()
 

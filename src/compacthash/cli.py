@@ -111,34 +111,39 @@ def cmd_bench(args) -> int:
 
     compact = CompactTable(params)
     tombstone = TombstoneTable(params)
+    # plain insert and remove are *_counted(key)[0]; calling the counted
+    # methods saves a Python frame per key and table
+    c_insert, c_remove = compact.insert_counted, compact.remove_counted
+    t_insert, t_remove = tombstone.insert_counted, tombstone.remove_counted
     next_u64 = SplitMix64(args.seed).next_u64
     live = LiveKeys()
-    for _ in range(args.live_target):
-        key = live.add_fresh(next_u64, KEY_MIN, 1 << 64)
-        compact.insert(key)
-        tombstone.insert(key)
+    for key in live.add_fresh(next_u64, KEY_MIN, 1 << 64, args.live_target):
+        c_insert(key)
+        t_insert(key)
 
+    # The tables draw nothing, so each phase of a round draws all its keys
+    # before its first table call and every draw keeps its index. Every
+    # drawn key is fresh, so each compact insert adds one key, and a round
+    # inserts only up to the occupancy cap. The batches are iterated, never
+    # kept: a kept list would hold its keys while the next batch is drawn.
     rows = [_bench_row(compact, 0, 0), _bench_row(tombstone, 0, 0)]
     insert_slots = insert_ops = compress_slots = compress_ops = 0
     tombstone_insert_failures = 0
     for round_no in range(1, args.rounds + 1):
         relocations = 0
-        for _ in range(min(args.batch, len(live.keys))):
-            key = live.pick(next_u64())
-            _, _find, scan, moved = compact.remove_counted(key)
+        removals = min(args.batch, len(live.keys))
+        compress_ops += removals
+        for key in live.pick(next_u64, removals):
+            _, _find, scan, moved = c_remove(key)
             relocations += moved
             compress_slots += scan
-            compress_ops += 1
-            tombstone.remove(key)
-        for _ in range(args.batch):
-            if len(compact) >= args.capacity - 1:
-                break
-            key = live.add_fresh(next_u64, KEY_MIN, 1 << 64)
-            _, n = compact.insert_counted(key)
-            insert_slots += n
-            insert_ops += 1
+            t_remove(key)
+        inserts = min(args.batch, args.capacity - 1 - len(compact))
+        insert_ops += inserts
+        for key in live.add_fresh(next_u64, KEY_MIN, 1 << 64, inserts):
+            insert_slots += c_insert(key)[1]
             try:
-                tombstone.insert(key)
+                t_insert(key)
             except TableFullError:
                 tombstone_insert_failures += 1
         rows.append(_bench_row(compact, round_no, relocations))

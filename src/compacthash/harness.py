@@ -107,6 +107,10 @@ class LiveKeys:
     keys lists them and index maps each to its position in keys. Removal
     moves the last key into the freed position, so the order of keys, and
     with it every seeded pick, depends only on the sequence of calls.
+    pick and add_fresh hand out a batch of keys per call; each consumes
+    exactly the draws that the same keys taken one call at a time would,
+    so a caller that draws nothing between the keys of a batch may take
+    them all before it uses any.
     """
 
     __slots__ = ("keys", "index")
@@ -128,24 +132,34 @@ class LiveKeys:
                 self.keys[at] = last
                 self.index[last] = at
 
-    def pick(self, u: int) -> int:
-        """Discard and return the live key at position u % len(keys)."""
-        key = self.keys[u % len(self.keys)]
-        self.discard(key)
-        return key
+    def pick(self, next_u64: Callable[[], int], n: int) -> list[int]:
+        """Discard and return n live keys, each the one at next_u64() % len(keys) when its turn comes."""
+        keys, discard = self.keys, self.discard
+        picked = []
+        for _ in range(n):
+            key = keys[next_u64() % len(keys)]
+            discard(key)
+            picked.append(key)
+        return picked
 
-    def add_fresh(self, next_u64: Callable[[], int], lo: int, span: int) -> int:
-        """Add and return the first lo + next_u64() % span that is not live.
+    def add_fresh(self, next_u64: Callable[[], int], lo: int, span: int, n: int) -> list[int]:
+        """Add and return n keys, each the first lo + next_u64() % span not live at its turn.
 
-        Raises EmptyKeyUniverseError after 4,096 draws of live keys.
+        Raises EmptyKeyUniverseError after 4,096 draws of live keys for one
+        key; the keys added before it stay added.
         """
-        for _ in range(4096):
-            key = lo + next_u64() % span
-            if key not in self.index:
-                self.add(key)
-                return key
-        raise EmptyKeyUniverseError(
-            f"could not draw a fresh key from [{lo}, {lo + span}) with {len(self.keys)} keys live")
+        keys, index, add = self.keys, self.index, self.add
+        fresh = []
+        for _ in range(n):
+            misses = 0
+            while (key := lo + next_u64() % span) in index:
+                misses += 1
+                if misses == 4096:
+                    raise EmptyKeyUniverseError(
+                        f"could not draw a fresh key from [{lo}, {lo + span}) with {len(keys)} keys live")
+            add(key)
+            fresh.append(key)
+        return fresh
 
 
 def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
@@ -217,13 +231,14 @@ def _expand(spec: WorkloadSpec, thresholds: list[np.uint64], lo: int, span: int)
             live.discard(key)
 
     next_u64 = SplitMix64(spec.seed + 2 * n * int(_GAMMA)).next_u64
+    batch = spec.churn_batch
     for _ in range(spec.churn_rounds):
-        for _ in range(spec.churn_batch):
-            u = next_u64()
-            key = live.pick(u) if live.keys else lo + u % span
-            ops.append(OpRecord(REMOVE, key))
-        for _ in range(spec.churn_batch):
-            ops.append(OpRecord(ADD, live.add_fresh(next_u64, lo, span)))
+        # no key turns live during the removals, so once none is left the
+        # rest of the batch removes keys drawn from the whole universe
+        picks = min(batch, len(live.keys))
+        ops += [OpRecord(REMOVE, key) for key in live.pick(next_u64, picks)]
+        ops += [OpRecord(REMOVE, lo + next_u64() % span) for _ in range(batch - picks)]
+        ops += [OpRecord(ADD, key) for key in live.add_fresh(next_u64, lo, span, batch)]
     return ops
 
 

@@ -2,9 +2,13 @@
 
 The digests were recorded from the implementation before the two tables
 shared a core; the fuzz failure artifact digests, before the churn
-steps moved into LiveKeys. The bench runs use a small table that the
-churn drives into the tombstone table's saturated regime, where FREE
-slots are scarce, at a unit and a non-unit step.
+steps moved into LiveKeys; the two bench runs at capacities 64 and 31,
+before a churn round drew each phase's keys in one LiveKeys call. The
+first bench runs use a small table that the churn drives into the
+tombstone table's saturated regime, where FREE slots are scarce, at a
+unit and a non-unit step. At capacities 64 and 31 each batch exceeds the
+room under the occupancy cap, so rounds stop inserting at the cap, and at
+64 the tombstone table raises TableFull 13 times.
 """
 
 import hashlib
@@ -35,7 +39,12 @@ CHURN = ("bench", "--capacity", "4096", "--live-target", "2048", "--batch", "102
     (CHURN + ("--step", "3"), "5f742c317fbd7205067d9f11885d89c45007c16cc8eccc3e93aeee225472fc6e"),
     (("bench", "--capacity", "4096", "--step", "3", "--batch", "300", "--adversarial", "--format", "json"),
      "444e25c328edc52edb9ed2a895d7b9bb01cca6c77c3c4f1d363eaf2680a73f3e"),
-], ids=["churn-step1", "churn-step3", "adversarial-json"])
+    (("bench", "--capacity", "64", "--live-target", "10", "--batch", "100", "--rounds", "4"),
+     "e45e2d9c7debbeeb31fdc334de0be2c655941e3c05411ce918457c91cf1b8f36"),
+    (("bench", "--capacity", "31", "--step", "2", "--live-target", "29", "--batch", "40", "--rounds", "5",
+      "--format", "json"),
+     "20ae6634c4163a533ad254134f6a4a6754175af20de522dbf14cd8808f81f4df"),
+], ids=["churn-step1", "churn-step3", "adversarial-json", "churn-cap-tablefull", "churn-cap-step2-json"])
 def test_bench_digest(capsys, argv, digest):
     assert main(list(argv)) == 0
     assert sha256(capsys.readouterr().out) == digest

@@ -11,6 +11,7 @@ from compacthash import (ADD, CONTAINS, REMOVE, CompactTable, Divergence, EmptyK
                          InvariantFailure, OpRecord, SplitMix64, TableParams, TombstoneTable,
                          TraceParseError, Verdict, ViolationReport, WorkloadSpec, format_trace,
                          generate_workload, parse_trace, run_differential)
+from compacthash.harness import LiveKeys
 
 GAMMA = 0x9E3779B97F4A7C15
 
@@ -183,6 +184,71 @@ MIX = (0.45, 0.35, 0.20)
 LARGE_CHURN_SPEC = WorkloadSpec(0, 50_000, (0, 131072), MIX, churn_rounds=20, churn_batch=500)
 # two keys, both live after the base phase, so the churn replay runs out of fresh keys
 RAISING_CHURN_SPEC = WorkloadSpec(0, 10, (0, 2), (1, 0, 0), churn_rounds=1, churn_batch=5)
+
+
+def one_key_picks(live: LiveKeys, next_u64, n: int) -> list[int]:
+    """n picks one key at a time: each the key at next_u64() % len(keys), then discarded."""
+    picked = []
+    for _ in range(n):
+        key = live.keys[next_u64() % len(live.keys)]
+        live.discard(key)
+        picked.append(key)
+    return picked
+
+
+def one_key_fresh(live: LiveKeys, next_u64, lo: int, span: int, n: int) -> list[int]:
+    """n fresh keys one at a time, each giving up after 4,096 draws of live keys."""
+    fresh = []
+    for _ in range(n):
+        for _ in range(4096):
+            key = lo + next_u64() % span
+            if key not in live.index:
+                break
+        else:
+            raise EmptyKeyUniverseError(
+                f"could not draw a fresh key from [{lo}, {lo + span}) with {len(live.keys)} keys live")
+        live.add(key)
+        fresh.append(key)
+    return fresh
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except EmptyKeyUniverseError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), lo=st.integers(-20, 20), span=st.integers(1, 10),
+       start=st.lists(st.integers(0, 9), max_size=10),
+       calls=st.lists(st.tuples(st.sampled_from(["pick", "add_fresh"]), st.integers(0, 11)), max_size=8))
+# n = 0, every live key picked, then fresh keys until the universe is full
+@example(seed=0, lo=0, span=3, start=[0, 2],
+         calls=[("pick", 0), ("add_fresh", 0), ("pick", 2), ("add_fresh", 3), ("add_fresh", 1), ("pick", 3)])
+def test_batched_live_keys_match_one_key_calls(seed, lo, span, start, calls):
+    live, ref = LiveKeys(), LiveKeys()
+    for offset in start:
+        live.add(lo + offset % span)
+        ref.add(lo + offset % span)
+    draw, ref_draw = SplitMix64(seed).next_u64, SplitMix64(seed).next_u64
+    for kind, n in calls:
+        if kind == "pick":
+            n = min(n, len(ref.keys))
+            assert live.pick(draw, n) == one_key_picks(ref, ref_draw, n)
+        else:
+            assert outcome(live.add_fresh, draw, lo, span, n) == outcome(one_key_fresh, ref, ref_draw, lo, span, n)
+        assert live.keys == ref.keys and live.index == ref.index
+    assert draw() == ref_draw()
+
+
+def test_add_fresh_from_a_full_universe_raises_after_adding_the_keys_before():
+    live = LiveKeys()
+    live.add(5)
+    draw = SplitMix64(1).next_u64
+    with pytest.raises(EmptyKeyUniverseError, match=r"^could not draw a fresh key from \[4, 7\) with 3 keys live$"):
+        live.add_fresh(draw, 4, 3, 3)
+    assert sorted(live.keys) == [4, 5, 6]
 
 
 @pytest.fixture
