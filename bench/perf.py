@@ -1,90 +1,60 @@
-"""Wall time of the verification, workload generation, differential and table layers.
+"""Wall time of every layer, paired in-process against a parent package.
 
-    PYTHONPATH=src python bench/perf.py --label change --out BENCH_15.json
+    PYTHONPATH=src python bench/perf.py --label change --out BENCH_18.json --parent-src ../parent/src
 
-builds a grid of 65,536-slot tables and times check_invariants and
-probe_stats on each: both table kinds at loads 0.02, 0.25, 0.5 and 0.9
-and at 100 keys, at steps 1 and 3, plus a saturated tombstone table:
-every slot but one non-FREE, keys at load 0.02 only. 100 keys is the
-fuzz-checked workload's shape; load 0.02 covers sparse tables. One
-more point is the tombstone table a default `compacthash bench`
-leaves after round 25, 32,768 BUSY and 32,767 DELETED slots at step 1:
-the shape the churn workload calls probe_stats on. Each figure is the
-median of 41 calls after one untimed call. The tables are the same on
-every run: keys come from seeded generators.
+imports the compacthash package under DIR as compacthash_parent (every
+import inside the package is relative) and times this checkout's package,
+the change, against it in one process. Giving this checkout's own src as
+DIR makes an A/A run, which shows the spread of the method itself.
 
-The generation layer is timed as seconds of generate_workload per
-100,000 ops, for the fuzz-bulk spec (100,000 base ops) and for a spec
-whose churn rounds make up half its ops, and as nanoseconds per
-SplitMix64.next_u64 draw over 200,000 draws. Each figure is the median
-of 11 runs after one untimed run. Each generate_workload figure also
-records gc_collections, the collections per generation (0, 1, 2) that
-the cyclic garbage collector started during the untimed run, read from
-gc.get_stats().
+Every point first requires the two versions to agree, as its kind
+requires: equal state_bytes(), check_invariants and probe_stats reports,
+verdicts, op lists, lookup results or bench.csv bytes. paired() then
+times the two in PAIRS pairs whose order alternates. Each side of a pair
+makes as many calls as fill about PAIR_S seconds, the same number for
+both versions, so a point that changes its tables leaves the two
+versions' tables equal. Per point the run records, under
+paired/<label>, the median of the paired change/parent time ratios,
+their quartiles, the number of pairs the change won, and each side's
+median seconds and ru_minflt (the minor page faults getrusage counts)
+per call; beside the rows, the script's wall time.
 
-The differential layer is timed as seconds of run_differential per
-100,000 ops, on the fuzz-bulk spec's ops at steps 1 and 3 with the
-invariant checker run once, after the last op: the median of 11 runs
-after one untimed run, whose verdict must pass.
+The points, all on 65,536-slot tables built from seeded keys:
 
-The table layer is timed on the same ops: each table kind replays them
-on a fresh 65,536-slot table at steps 1 and 3 through insert_counted,
-contains_counted and remove_counted, and each call is bracketed by two
-perf_counter_ns reads. A figure is microseconds per call of one method,
-after subtracting the mean cost of an empty bracket: the median of 5
-replays after one untimed replay. Table construction is timed as
-microseconds per new 65,536-slot table of each kind, with ru_minflt, the
-minor page faults getrusage counts while the table is built: the median
-of 11 constructions after one untimed one, in a fresh interpreter that
-drops each table before it builds the next, as a driver that builds its
-tables per run does.
-
-The tombstone lookup layer is timed on the tombstone load-0.02 and
-saturated tables at steps 1 and 3, with the same bracket: microseconds
-per contains_counted call over 256 seeded stored keys and over 256
-seeded absent keys, and per remove+insert pair, in which a stored key
-is removed and a fresh key inserted. Each pass of pairs removes the keys
-the pass before inserted, the first pass a seeded sample of the table's
-keys, so the live count stays put. Each figure is the median of 5
-passes after one untimed pass, on one table per point.
-
-Each run is added to --out under --label, beside the runs already there,
-so running the script once with another checkout's src on PYTHONPATH
-(--label parent) and once with this one's puts both in one file. After
-each run the file's summary is rebuilt: per label and grid point, the
-median over that label's runs, and once a run labelled "parent" is in
-the file, the parent's median divided by each other label's.
-
-    PYTHONPATH=src python bench/perf.py --label change --out BENCH_16.json \
-        --parent-src ../parent/src
-
-runs an in-process A/B instead, because separate runs of the same code
-spread up to 2x on a drifting host. It imports the package under DIR as
-compacthash_parent (every import inside the package is relative), builds
-each grid table once per version from the same keys, requires equal
-state_bytes() and equal check_invariants and probe_stats reports, and
-then times the two versions in PAIRS pairs whose order alternates. Each
-side of a pair makes as many calls as fill about PAIR_S seconds. The
-fuzz-checked loop is one more point: run_differential with
-check_every=1 on the first 200 ops of the 10,000-op workloads of seeds
-0-7 at step 1 and at step 3, the shape of the perfbench fuzz-checked
-workload and of the acceptance per-op campaign. Per point, the run
-records the median of the paired change/parent time ratios, their
-quartiles and the number of pairs the change won, under
-paired/<label>. Giving this checkout's own src as DIR makes an A/A run,
-which shows the spread of the method itself.
-
-The churn points time `compacthash bench --rounds 4` through each
-version's cli.main in CHURN_PAIRS pairs whose order alternates, and
-require equal bench.csv bytes from the two. A probe_stats hook marks
-where each version's rows are built, so churn/rounds is the time of the
-four churn rounds alone, without the probe_stats calls between them, and
-churn/prefill the time from the call of main to the first row: argument
-parsing, table construction and the prefill to the live target.
+- check_invariants and probe_stats on both table kinds at loads 0.02,
+  0.25, 0.5 and 0.9 and at 100 keys (the fuzz-checked workload's shape),
+  at steps 1 and 3; on a saturated tombstone table, every slot but one
+  non-FREE with keys at load 0.02 only; and on the tombstone table a
+  default `compacthash bench` leaves after round 25, 32,768 BUSY and
+  32,767 DELETED slots at step 1, the shape the churn workload calls
+  probe_stats on.
+- generate_workload on the fuzz-bulk spec (100,000 base ops) and on a
+  spec whose churn rounds make up half its ops, and 200,000
+  SplitMix64.next_u64 draws.
+- run_differential on the fuzz-bulk ops at steps 1 and 3, with the
+  invariant checker run once after the last op, and the fuzz-checked
+  loop: run_differential with check_every=1 on the first 200 ops of the
+  10,000-op workloads of seeds 0-7 at steps 1 and 3, the shape of the
+  perfbench fuzz-checked workload and of the acceptance per-op campaign.
+- a replay of the fuzz-bulk ops through insert_counted, contains_counted
+  and remove_counted on a fresh table of each kind at steps 1 and 3.
+- lookups on each replayed table and on the saturated tombstone table:
+  contains_counted over 256 seeded stored keys (contains_stored) and over
+  256 absent keys (contains_absent), remove_counted over the absent keys
+  (remove_absent), and 256 remove+insert pairs (remove_insert_pair), each
+  call of which removes one of those two key sets and inserts the other,
+  so the live count stays put.
+- construction of an empty table of each kind.
+- churn: `compacthash bench --rounds 4` through each version's cli.main
+  in CHURN_PAIRS pairs whose order alternates, with equal bench.csv bytes
+  required. A probe_stats hook marks where each version's rows are built,
+  so churn/rounds is the time of the four churn rounds alone, without the
+  probe_stats calls between them, and churn/prefill the time from the
+  call of main to the first row: argument parsing, table construction and
+  the prefill to the live target.
 """
 
 import argparse
-import gc
 import importlib
 import importlib.util
 import json
@@ -92,18 +62,17 @@ import math
 import os
 import platform
 import random
+import resource
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-import compacthash.cli
-from compacthash import (ADD, CONTAINS, REMOVE, CompactTable, SplitMix64, TableParams, TombstoneTable,
-                         WorkloadSpec, check_invariants, generate_workload, probe_stats, run_differential)
+import compacthash
 
 CAPACITY = 1 << 16
 LOADS = (0.02, 0.25, 0.5, 0.9)
@@ -111,29 +80,21 @@ KEY_COUNTS = (100,)
 STEPS = (1, 3)
 SATURATED_LOAD = 0.02
 BENCH_ROUNDS = 25  # churn rounds replayed for the bench-churned point
-CALLS = 41  # timed calls per grid point
-BASELINE = "parent"  # label the summary divides every other label by
-GEN_RUNS = 11  # timed runs per generation figure
-DIFF_RUNS = 11  # timed runs per run_differential figure
-TABLE_RUNS = 5  # timed replays per table-op figure
-CONSTRUCTIONS = 11  # timed constructions per table-construction figure
-LOOKUP_KEYS = 256  # keys per tombstone lookup pass, and pairs per churn pass
-PAIRS = 101  # alternating pairs per in-process A/B figure
+LOOKUP_KEYS = 256  # keys per lookup call, and pairs per remove_insert_pair call
+PAIRS = 101  # alternating pairs per paired figure
 PAIR_S = 0.005  # seconds of calls on each side of a pair, roughly
 CHURN_ROUNDS = 4  # rounds of each churn-point bench
 CHURN_PAIRS = 30  # alternating pairs of the churn points
 FUZZ_SEEDS = range(8)  # seeds of the fuzz-checked loop
 FUZZ_PREFIX = 200  # ops per fuzz-checked seed
-TABLES = ((CompactTable, "compact"), (TombstoneTable, "tombstone"))
+TABLES = (("CompactTable", "compact"), ("TombstoneTable", "tombstone"))
 MIX = (0.45, 0.35, 0.20)
 UNIVERSE = (0, 2 * CAPACITY)
-GEN_SPECS = {
-    "generate_workload/fuzz-bulk": WorkloadSpec(0, 100_000, UNIVERSE, MIX),
-    "generate_workload/churn": WorkloadSpec(0, 50_000, UNIVERSE, MIX, churn_rounds=50, churn_batch=500),
+GEN_SPECS = {  # point -> the spec, built with a package's WorkloadSpec
+    "fuzz-bulk": lambda pkg: pkg.WorkloadSpec(0, 100_000, UNIVERSE, MIX),
+    "churn": lambda pkg: pkg.WorkloadSpec(0, 50_000, UNIVERSE, MIX, churn_rounds=50, churn_batch=500),
 }
 DRAWS = 200_000
-TIMINGS = ("check_invariants_ms", "probe_stats_ms", "s_per_100k_ops", "ns_per_draw", "us_per_op",
-           "us_per_table", "us_per_pair", "ru_minflt")
 
 
 def _keys(seed: int, count: int) -> list[int]:
@@ -141,14 +102,14 @@ def _keys(seed: int, count: int) -> list[int]:
     return [int(k) for k in rng.choice(1 << 40, size=count, replace=False)]
 
 
-def _filled(kind, step: int, count: int, pkg=compacthash):
-    t = getattr(pkg, kind.__name__)(pkg.TableParams(CAPACITY, step))
+def _filled(kind: str, step: int, count: int, pkg):
+    t = getattr(pkg, kind)(pkg.TableParams(CAPACITY, step))
     for key in _keys(step, count):
         t.insert(key)
     return t
 
 
-def _saturated(step: int, pkg=compacthash) -> TombstoneTable:
+def _saturated(step: int, pkg):
     """Tombstone table filled to every slot but one, then emptied to SATURATED_LOAD."""
     t = pkg.TombstoneTable(pkg.TableParams(CAPACITY, step))
     keys = _keys(step, CAPACITY - 1)
@@ -159,7 +120,7 @@ def _saturated(step: int, pkg=compacthash) -> TombstoneTable:
     return t
 
 
-def _bench_churned(pkg=compacthash) -> TombstoneTable:
+def _bench_churned(pkg):
     """The tombstone table of a default compacthash bench after BENCH_ROUNDS rounds.
 
     Runs the bench itself with --rounds BENCH_ROUNDS, through a
@@ -197,187 +158,6 @@ def grid():
     yield f"tombstone-bench-churned/step1/round{BENCH_ROUNDS}", _bench_churned
 
 
-def median_s(fn, runs: int) -> float:
-    """Median wall time of runs calls of fn, after one untimed call."""
-    fn()
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-
-def median_ms(fn, table) -> float:
-    return round(median_s(lambda: fn(table), CALLS) * 1e3, 4)
-
-
-def _draw_all() -> None:
-    next_u64 = SplitMix64(0).next_u64
-    for _ in range(DRAWS):
-        next_u64()
-
-
-def _collections() -> list[int]:
-    return [generation["collections"] for generation in gc.get_stats()]
-
-
-def generation_rows() -> dict:
-    rows = {}
-    for point, spec in GEN_SPECS.items():
-        before = _collections()
-        ops = len(generate_workload(spec))
-        started = [after - b for after, b in zip(_collections(), before)]
-        rows[point] = {"ops": ops, "gc_collections": started,
-                       "s_per_100k_ops": round(median_s(lambda: generate_workload(spec), GEN_RUNS) * 1e5 / ops, 4)}
-    rows["splitmix64/next_u64"] = {"draws": DRAWS, "ns_per_draw": round(median_s(_draw_all, GEN_RUNS) * 1e9 / DRAWS, 1)}
-    return rows
-
-
-def differential_rows() -> dict:
-    ops = generate_workload(GEN_SPECS["generate_workload/fuzz-bulk"])
-    rows = {}
-    for step in STEPS:
-        params = TableParams(CAPACITY, step)
-        if not run_differential(ops, params, check_every=len(ops)).passed:
-            raise SystemExit(f"run_differential/fuzz-bulk/step{step}: the verdict fails")
-        seconds = median_s(lambda: run_differential(ops, params, check_every=len(ops)), DIFF_RUNS)
-        rows[f"run_differential/fuzz-bulk/step{step}"] = {"ops": len(ops),
-                                                          "s_per_100k_ops": round(seconds * 1e5 / len(ops), 4)}
-    return rows
-
-
-# argv: table class name, capacity, constructions; prints [[seconds, ru_minflt], ...]
-_CONSTRUCT = """
-import json, resource, sys, time
-import compacthash
-kind = getattr(compacthash, sys.argv[1])
-params = compacthash.TableParams(int(sys.argv[2]), 1)
-figures = []
-for _ in range(int(sys.argv[3]) + 1):
-    flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    t0 = time.perf_counter()
-    table = kind(params)
-    figures.append((time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt))
-    del table
-print(json.dumps(figures[1:]))
-"""
-
-
-def _bracket_ns() -> float:
-    """Mean cost of an empty pair of perf_counter_ns reads, in ns."""
-    clock = time.perf_counter_ns
-    total = 0
-    for _ in range(100_000):
-        t0 = clock()
-        total += clock() - t0
-    return total / 100_000
-
-
-def _replay(kind, step: int, ops) -> dict[str, list[int]]:
-    """Replay ops on a fresh table; [total ns, calls] per op kind."""
-    table = kind(TableParams(CAPACITY, step))
-    methods = {ADD: table.insert_counted, CONTAINS: table.contains_counted, REMOVE: table.remove_counted}
-    spent = {op_kind: [0, 0] for op_kind in methods}
-    clock = time.perf_counter_ns
-    for op_kind, key in ops:
-        method = methods[op_kind]
-        t0 = clock()
-        method(key)
-        t1 = clock()
-        acc = spent[op_kind]
-        acc[0] += t1 - t0
-        acc[1] += 1
-    return spent
-
-
-def table_rows() -> dict:
-    ops = generate_workload(GEN_SPECS["generate_workload/fuzz-bulk"])
-    bracket = _bracket_ns()
-    rows = {}
-    for step in STEPS:
-        for kind, name in TABLES:
-            _replay(kind, step, ops)
-            replays = [_replay(kind, step, ops) for _ in range(TABLE_RUNS)]
-            for op_kind, method in ((ADD, "insert"), (CONTAINS, "contains"), (REMOVE, "remove")):
-                calls = replays[0][op_kind][1]
-                us = statistics.median(r[op_kind][0] / calls - bracket for r in replays) / 1e3
-                rows[f"table/{name}/step{step}/{method}_counted"] = {"calls": calls, "us_per_op": round(us, 4)}
-    for kind, name in TABLES:
-        argv = [sys.executable, "-c", _CONSTRUCT, kind.__name__, str(CAPACITY), str(CONSTRUCTIONS)]
-        figures = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
-        rows[f"construct/{name}"] = {"us_per_table": round(statistics.median(s for s, _ in figures) * 1e6, 1),
-                                     "ru_minflt": statistics.median(f for _, f in figures)}
-    return rows
-
-
-def _us_per_call(fn, keys, bracket: float) -> float:
-    clock = time.perf_counter_ns
-    total = 0
-    for key in keys:
-        t0 = clock()
-        fn(key)
-        total += clock() - t0
-    return (total / len(keys) - bracket) / 1e3
-
-
-def _us_per_pair(table, victims, fresh, bracket: float) -> float:
-    remove, insert = table.remove_counted, table.insert_counted
-    clock = time.perf_counter_ns
-    total = 0
-    for victim, key in zip(victims, fresh):
-        t0 = clock()
-        remove(victim)
-        insert(key)
-        total += clock() - t0
-    return (total / len(fresh) - bracket) / 1e3
-
-
-def lookup_rows() -> dict:
-    bracket = _bracket_ns()
-    rows = {}
-    for step in STEPS:
-        for point, build in ((f"tombstone/step{step}/load{SATURATED_LOAD}",
-                              lambda s=step: _filled(TombstoneTable, s, round(SATURATED_LOAD * CAPACITY))),
-                             (f"tombstone-saturated/step{step}/load{SATURATED_LOAD}", lambda s=step: _saturated(s))):
-            t = build()
-            stored = random.Random(step).sample(sorted(t.keys()), LOOKUP_KEYS)
-            absent = [k + (1 << 40) for k in _keys(100 + step, (TABLE_RUNS + 2) * LOOKUP_KEYS)]
-            for name, keys in (("contains_stored", stored), ("contains_absent", absent[:LOOKUP_KEYS])):
-                _us_per_call(t.contains_counted, keys, bracket)
-                us = statistics.median(_us_per_call(t.contains_counted, keys, bracket) for _ in range(TABLE_RUNS))
-                rows[f"lookup/{point}/{name}"] = {"calls": LOOKUP_KEYS, "us_per_op": round(us, 4)}
-            victims, passes = stored, []
-            for r in range(1, TABLE_RUNS + 2):
-                fresh = absent[r * LOOKUP_KEYS:(r + 1) * LOOKUP_KEYS]
-                passes.append(_us_per_pair(t, victims, fresh, bracket))
-                victims = fresh
-            if len(t) != round(SATURATED_LOAD * CAPACITY) or not check_invariants(t).passed:
-                raise SystemExit(f"lookup/{point}: the churn passes left a wrong table")
-            rows[f"lookup/{point}/remove_insert_pair"] = {"pairs": LOOKUP_KEYS,
-                                                          "us_per_pair": round(statistics.median(passes[1:]), 4)}
-    return rows
-
-
-def run() -> dict:
-    rows = {}
-    for point, build in grid():
-        t = build(compacthash)
-        if not check_invariants(t).passed:
-            raise SystemExit(f"{point}: the table fails check_invariants")
-        rows[point] = {
-            "live": len(t),
-            "non_free": t.non_free_count if isinstance(t, TombstoneTable) else len(t),
-            "check_invariants_ms": median_ms(check_invariants, t),
-            "probe_stats_ms": median_ms(probe_stats, t),
-        }
-        print(point, rows[point], flush=True)
-    for point, row in (generation_rows() | differential_rows() | table_rows() | lookup_rows()).items():
-        rows[point] = row
-        print(point, row, flush=True)
-    return rows
-
-
 def load_package(src: Path):
     """Import the compacthash package under src as compacthash_parent."""
     name = "compacthash_parent"
@@ -389,30 +169,181 @@ def load_package(src: Path):
     return pkg
 
 
-def ratio_row(change_s: list[float], parent_s: list[float]) -> dict:
-    """Median, quartiles and wins of the paired change/parent time ratios."""
+def _figure(x: float) -> float:
+    return float(f"{x:.4g}")
+
+
+def ratio_row(change_s: list[float], parent_s: list[float], calls: int = 1) -> dict:
+    """Median, quartiles and wins of the paired change/parent time ratios, and each side's median s per call."""
     ratios = [c / p for c, p in zip(change_s, parent_s)]
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     return {"ratio_median": round(median, 4), "ratio_iqr": [round(q1, 4), round(q3, 4)],
-            "wins": sum(r < 1 for r in ratios), "pairs": len(ratios)}
+            "wins": sum(r < 1 for r in ratios), "pairs": len(ratios),
+            "change_s_per_call": _figure(statistics.median(change_s) / calls),
+            "parent_s_per_call": _figure(statistics.median(parent_s) / calls)}
 
 
 def paired(change, parent) -> dict:
-    """Change/parent time ratios over PAIRS pairs of alternating order."""
+    """Change/parent time ratios over PAIRS pairs of alternating order.
+
+    Both callables are called equally often: twice untimed, then
+    calls_per_side times on each side of every pair.
+    """
     parent()
     change()
     t0 = time.perf_counter()
     change()
-    calls = max(1, math.ceil(PAIR_S / (time.perf_counter() - t0)))
-    spent = [[], []]
+    parent()
+    calls = max(1, math.ceil(2 * PAIR_S / (time.perf_counter() - t0)))
+    spent, faults = [[], []], [[], []]
     for i in range(PAIRS):
         for side in ((1, 0) if i % 2 else (0, 1)):
             fn = (change, parent)[side]
+            flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             for _ in range(calls):
                 fn()
             spent[side].append(time.perf_counter() - t0)
-    return ratio_row(*spent) | {"calls_per_side": calls}
+            faults[side].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
+    return ratio_row(*spent, calls) | {
+        "calls_per_side": calls,
+        "change_minflt_per_call": _figure(statistics.median(faults[0]) / calls),
+        "parent_minflt_per_call": _figure(statistics.median(faults[1]) / calls)}
+
+
+def _agree(point: str, what: str, change, parent) -> None:
+    if change != parent:
+        raise SystemExit(f"{point}: the two versions' {what} differ")
+
+
+def _passes(point: str, table) -> None:
+    if not compacthash.check_invariants(table).passed:
+        raise SystemExit(f"{point}: the table fails check_invariants")
+
+
+def grid_rows(parent):
+    for point, build in grid():
+        t, u = build(compacthash), build(parent)
+        _agree(point, "tables", t.state_bytes(), u.state_bytes())
+        _passes(point, t)
+        row = {}
+        for name in ("check_invariants", "probe_stats"):
+            fn, parent_fn = getattr(compacthash, name), getattr(parent, name)
+            _agree(point, f"{name} reports", fn(t).to_json_dict(), parent_fn(u).to_json_dict())
+            row[name] = paired(partial(fn, t), partial(parent_fn, u))
+        yield point, row
+
+
+def _draws(pkg) -> list[int]:
+    next_u64 = pkg.SplitMix64(0).next_u64
+    return [next_u64() for _ in range(DRAWS)]
+
+
+def generation_rows(parent):
+    for name, spec in GEN_SPECS.items():
+        point = f"generate_workload/{name}"
+        runs = [partial(pkg.generate_workload, spec(pkg)) for pkg in (compacthash, parent)]
+        ops = runs[0]()
+        _agree(point, "op lists", ops, runs[1]())
+        yield point, {"ops": len(ops), "generate_workload": paired(*runs)}
+    point = f"splitmix64/draws{DRAWS}"
+    runs = [partial(_draws, pkg) for pkg in (compacthash, parent)]
+    _agree(point, "draws", runs[0](), runs[1]())
+    yield point, {"next_u64": paired(*runs)}
+
+
+def _differential(pkg, step: int, seqs, check_every: int | None):
+    """Verdicts of run_differential on each op list of seqs; check_every None checks after the last op."""
+    params = pkg.TableParams(CAPACITY, step)
+    return lambda: [pkg.run_differential(ops, params, check_every=check_every or len(ops)).to_json_dict()
+                    for ops in seqs]
+
+
+def differential_rows(parent):
+    for step in STEPS:
+        bulk = [_differential(pkg, step, [pkg.generate_workload(GEN_SPECS["fuzz-bulk"](pkg))], None)
+                for pkg in (compacthash, parent)]
+        checked = [_differential(pkg, step, [pkg.generate_workload(pkg.WorkloadSpec(seed, 10_000, UNIVERSE, MIX))
+                                             [:FUZZ_PREFIX] for seed in FUZZ_SEEDS], 1)
+                   for pkg in (compacthash, parent)]
+        for point, loops in ((f"run_differential/fuzz-bulk/step{step}", bulk),
+                             (f"fuzz-checked/step{step}/seeds{len(FUZZ_SEEDS)}x{FUZZ_PREFIX}", checked)):
+            verdicts = loops[0]()
+            _agree(point, "verdicts", verdicts, loops[1]())
+            if not all(v["passed"] for v in verdicts):
+                raise SystemExit(f"{point}: a verdict fails")
+            yield point, {"run_differential": paired(*loops)}
+
+
+def _replay(pkg, kind: str, step: int, ops):
+    """A fresh table of kind after ops, applied through its *_counted methods."""
+    table = getattr(pkg, kind)(pkg.TableParams(CAPACITY, step))
+    methods = {pkg.ADD: table.insert_counted, pkg.CONTAINS: table.contains_counted, pkg.REMOVE: table.remove_counted}
+    for op_kind, key in ops:
+        methods[op_kind](key)
+    return table
+
+
+def _each(method, keys: list[int]) -> list:
+    return list(map(method, keys))
+
+
+def _swap(table, stored: list[int], absent: list[int]):
+    """A call removes one key set from table and inserts the other, pair by pair, then swaps their roles."""
+    remove, insert = table.remove_counted, table.insert_counted
+    sets = [stored, absent]
+
+    def call():
+        for victim, key in zip(*sets):
+            remove(victim)
+            insert(key)
+        sets.reverse()
+
+    return call
+
+
+def lookup_row(point: str, tables, step: int) -> dict:
+    """The four lookup figures on a pair of equal tables; the pairs come last, since they change the tables."""
+    _agree(point, "tables", *(t.state_bytes() for t in tables))
+    live = len(tables[0])
+    stored = random.Random(step).sample(sorted(tables[0].keys()), LOOKUP_KEYS)
+    absent = [k + (1 << 40) for k in _keys(100 + step, LOOKUP_KEYS)]
+    row = {"keys": LOOKUP_KEYS}
+    for name, method, keys in (("contains_stored", "contains_counted", stored),
+                               ("contains_absent", "contains_counted", absent),
+                               ("remove_absent", "remove_counted", absent)):
+        runs = [partial(_each, getattr(t, method), keys) for t in tables]
+        _agree(f"{point}/{name}", "results", runs[0](), runs[1]())
+        row[name] = paired(*runs)
+    row["remove_insert_pair"] = paired(*(_swap(t, stored, absent) for t in tables))
+    _agree(point, "tables after the passes", *(t.state_bytes() for t in tables))
+    _passes(point, tables[0])
+    if len(tables[0]) != live:
+        raise SystemExit(f"{point}: the remove+insert pairs changed the live count")
+    return row
+
+
+def table_rows(parent):
+    pkgs = (compacthash, parent)
+    for step in STEPS:
+        ops = [pkg.generate_workload(GEN_SPECS["fuzz-bulk"](pkg)) for pkg in pkgs]
+        lookups = {}
+        for kind, name in TABLES:
+            point = f"replay/{name}/step{step}/fuzz-bulk"
+            runs = [partial(_replay, pkg, kind, step, o) for pkg, o in zip(pkgs, ops)]
+            tables = [run() for run in runs]
+            _agree(point, "tables", *(t.state_bytes() for t in tables))
+            _passes(point, tables[0])
+            yield point, {"ops": len(ops[0]), "replay": paired(*runs)}
+            lookups[f"lookup/{name}-replayed/step{step}"] = tables
+        lookups[f"lookup/tombstone-saturated/step{step}/load{SATURATED_LOAD}"] = [_saturated(step, pkg) for pkg in pkgs]
+        for point, tables in lookups.items():
+            yield point, lookup_row(point, tables, step)
+    for kind, name in TABLES:
+        point = f"construct/{name}"
+        runs = [partial(getattr(pkg, kind), pkg.TableParams(CAPACITY, 1)) for pkg in pkgs]
+        _agree(point, "tables", *(run().state_bytes() for run in runs))
+        yield point, {"construct": paired(*runs)}
 
 
 def _churn_run(pkg) -> tuple[bytes, float, float]:
@@ -442,7 +373,7 @@ def _churn_run(pkg) -> tuple[bytes, float, float]:
     return csv, marks[0] - t0, rounds
 
 
-def churn_rows(parent) -> dict:
+def churn_rows(parent):
     spent = {"churn/prefill": [[], []], "churn/rounds": [[], []]}
     csv = {_churn_run(compacthash)[0], _churn_run(parent)[0]}
     for i in range(CHURN_PAIRS):
@@ -453,83 +384,31 @@ def churn_rows(parent) -> dict:
             spent["churn/rounds"][side].append(rounds)
     if len(csv) != 1:
         raise SystemExit("churn: the two versions wrote different bench.csv bytes")
-    return {point: {"bench": ratio_row(*sides)} for point, sides in spent.items()}
-
-
-def paired_rows(parent) -> dict:
-    rows = {}
-    for point, build in grid():
-        t, u = build(compacthash), build(parent)
-        if t.state_bytes() != u.state_bytes():
-            raise SystemExit(f"{point}: the two versions built different tables")
-        if not check_invariants(t).passed:
-            raise SystemExit(f"{point}: the table fails check_invariants")
-        rows[point] = {}
-        for name in ("check_invariants", "probe_stats"):
-            fn, parent_fn = getattr(compacthash, name), getattr(parent, name)
-            if fn(t).to_json_dict() != parent_fn(u).to_json_dict():
-                raise SystemExit(f"{point}: {name} reports differ between the two versions")
-            rows[point][name] = paired(lambda: fn(t), lambda: parent_fn(u))
-        print(point, rows[point], flush=True)
-    for step in STEPS:
-        loops = []
-        for pkg in (compacthash, parent):
-            params = pkg.TableParams(CAPACITY, step)
-            seqs = [pkg.generate_workload(pkg.WorkloadSpec(seed, 10_000, UNIVERSE, MIX))[:FUZZ_PREFIX]
-                    for seed in FUZZ_SEEDS]
-            loops.append(lambda pkg=pkg, params=params, seqs=seqs:
-                         [pkg.run_differential(ops, params, check_every=1).to_json_dict() for ops in seqs])
-        verdicts = loops[0]()
-        if verdicts != loops[1]() or not all(v["passed"] for v in verdicts):
-            raise SystemExit(f"fuzz-checked/step{step}: the verdicts fail or differ between the two versions")
-        point = f"fuzz-checked/step{step}/seeds{len(FUZZ_SEEDS)}x{FUZZ_PREFIX}"
-        rows[point] = {"run_differential": paired(*loops)}
-        print(point, rows[point], flush=True)
-    for point, row in churn_rows(parent).items():
-        rows[point] = row
-        print(point, row, flush=True)
-    return rows
-
-
-def summarize(doc: dict) -> dict:
-    medians: dict[str, dict] = {}
-    for label in dict.fromkeys(r["label"] for r in doc["runs"]):
-        runs = [r["rows"] for r in doc["runs"] if r["label"] == label]
-        medians[label] = {
-            point: {metric: round(statistics.median(rows[point][metric] for rows in runs), 4)
-                    for metric in TIMINGS if metric in runs[0][point]}
-            for point in runs[0]
-        }
-    summary = {"median": medians}
-    if BASELINE in medians:
-        summary[f"{BASELINE}_over"] = {
-            label: {point: {metric: round(medians[BASELINE][point][metric] / value, 2) if value else None
-                            for metric, value in figures.items()}
-                    for point, figures in per_point.items()}
-            for label, per_point in medians.items() if label != BASELINE
-        }
-    return summary
+    for point, sides in spent.items():
+        yield point, {"bench": ratio_row(*sides)}
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True, help="name this run is filed under, e.g. parent or change")
+    ap.add_argument("--label", required=True, help="name this run is filed under, e.g. aa or change")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to add this run to")
-    ap.add_argument("--parent-src", type=Path, metavar="DIR",
-                    help="time check_invariants, probe_stats, the fuzz-checked loop and the churn rounds in-process, "
-                         "paired against the package under DIR")
+    ap.add_argument("--parent-src", type=Path, metavar="DIR", required=True,
+                    help="src directory of the package to time against; this checkout's own src makes an A/A run")
     args = ap.parse_args()
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
+    t0 = time.perf_counter()
+    parent = load_package(args.parent_src)
+    rows = {}
+    for part in (grid_rows, generation_rows, differential_rows, table_rows, churn_rows):
+        for point, row in part(parent):
+            rows[point] = row
+            print(point, row, flush=True)
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["capacity"] = CAPACITY
     doc["host"] = {"python": platform.python_version(), "numpy": np.__version__,
                    "machine": platform.machine(), "cpus": os.cpu_count()}
-    if args.parent_src:
-        doc.setdefault("paired", {})[args.label] = {"parent_src": str(args.parent_src),
-                                                    "rows": paired_rows(load_package(args.parent_src))}
-    else:
-        doc["runs"].append({"label": args.label, "rows": run()})
-    doc["summary"] = summarize(doc)
+    doc.setdefault("paired", {})[args.label] = {"parent_src": str(args.parent_src),
+                                                "wall_s": round(time.perf_counter() - t0, 1), "rows": rows}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
 

@@ -1,7 +1,7 @@
 """Command-line interface: fuzzing, trace replay, and the churn benchmark.
 
 Exit codes: 0 success, 1 differential or benchmark assertion failure,
-2 usage/parse error. Output is deterministic: two invocations with
+2 usage/parse error or a capacity too large to allocate. Output is deterministic: two invocations with
 identical arguments produce byte-identical artifacts.
 """
 
@@ -281,6 +281,10 @@ def main(argv=None) -> int:
         return 2
     except CompactHashError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError) as e:  # from the slot arrays of a capacity too large to allocate
+        print(f"error: {type(e).__name__}: cannot allocate the slot arrays of the requested capacity",
+              file=sys.stderr)
         return 2
 
 

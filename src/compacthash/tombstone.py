@@ -93,13 +93,7 @@ class TombstoneTable(OpenAddressTable):
     # method would add a Python call, about the cost of a short lookup.
     def insert_counted(self, key: int) -> tuple[bool, int]:
         """Reuse the first tombstone on the probe path if the key is absent,
-        otherwise take the first FREE slot; count as the classical walk.
-
-        A present key sits before the first FREE slot on its path, so the
-        walk would stop on it: _slot_of decides the duplicate case. An
-        absent key's walk runs to the first FREE slot, which _first_free
-        finds from the first non-BUSY slot on the path.
-        """
+        otherwise take the first FREE slot; count as the classical walk."""
         if not KEY_MIN <= key <= KEY_MAX:
             raise KeyOutOfRangeError(f"key {key} is outside the signed 64-bit range")
         if self._params.growth_enabled and (self._non_free + 1) / self._capacity > GROWTH_LOAD_FACTOR:

@@ -1,0 +1,66 @@
+"""The timing helpers of bench/perf.py: ratio_row, paired and load_package."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import compacthash
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def perf():
+    spec = importlib.util.spec_from_file_location("bench_perf", REPO / "bench" / "perf.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ratio_row_reads_median_quartiles_and_wins(perf):
+    # ratios 0.5, 1.0, 1.0, 1.5, 2.0: one win, and the two ties are no wins
+    row = perf.ratio_row([5, 1, 1, 1.5, 2], [10, 1, 1, 1, 1], calls=2)
+    assert row == {"ratio_median": 1.0, "ratio_iqr": [0.75, 1.75], "wins": 1, "pairs": 5,
+                   "change_s_per_call": 0.75, "parent_s_per_call": 0.5}
+
+
+def test_paired_calls_both_sides_equally_and_reports_each_side(perf, monkeypatch):
+    monkeypatch.setattr(perf, "PAIRS", 5)
+    monkeypatch.setattr(perf, "PAIR_S", 1e-4)
+    made = {"change": 0, "parent": 0}
+
+    def change():
+        made["change"] += 1
+        sum(range(10))
+
+    def parent():
+        made["parent"] += 1
+        sum(range(5000))
+
+    row = perf.paired(change, parent)
+    assert set(row) == {"ratio_median", "ratio_iqr", "wins", "pairs", "calls_per_side", "change_s_per_call",
+                        "parent_s_per_call", "change_minflt_per_call", "parent_minflt_per_call"}
+    assert row["pairs"] == 5
+    assert made["change"] == made["parent"] == 2 + 5 * row["calls_per_side"]
+    assert 0 < row["change_s_per_call"] < row["parent_s_per_call"]
+    assert row["ratio_median"] < 1 and 0 <= row["wins"] <= 5
+    assert row["change_minflt_per_call"] >= 0 and row["parent_minflt_per_call"] >= 0
+
+
+def test_load_package_imports_a_second_copy_that_builds_equal_tables(perf):
+    try:
+        pkg = perf.load_package(REPO / "src")
+        assert pkg is not compacthash and pkg.__name__ == "compacthash_parent"
+        for kind in ("CompactTable", "TombstoneTable"):
+            assert getattr(pkg, kind) is not getattr(compacthash, kind)
+            tables = [getattr(p, kind)(p.TableParams(31, 3)) for p in (compacthash, pkg)]
+            for t in tables:
+                for key in (5, 36, 67, -26, 98, 7):
+                    t.insert(key)
+                t.remove(36)
+            assert tables[0].state_bytes() == tables[1].state_bytes()
+    finally:
+        for name in [n for n in sys.modules if n.partition(".")[0] == "compacthash_parent"]:
+            del sys.modules[name]

@@ -240,3 +240,21 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, trace_tex
 
 def test_no_arguments_is_usage_error(capsys):
     assert run(capsys)[0] == 2
+
+
+# 2**62 slots fail array's own size check (MemoryError) and 10**20 does
+# not fit an index (OverflowError), both before any memory is requested.
+@pytest.mark.parametrize("capacity", [2**62, 10**20], ids=["2^62", "10^20"])
+@pytest.mark.parametrize("argv", [
+    ("fuzz", "--seed-count", "1", "--ops", "1"),
+    ("trace", "{path}"),
+    ("bench", "--rounds", "0"),
+    ("bench", "--batch", "1", "--adversarial"),
+], ids=["fuzz", "trace", "bench", "adversarial"])
+def test_unallocatable_capacity_exits_2_with_one_error_line(capsys, tmp_path, argv, capacity):
+    path = tmp_path / "ops.trace"
+    path.write_text("a 1\n")
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv), "--capacity", str(capacity))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("MemoryError" if capacity == 2**62 else "OverflowError") in err
