@@ -37,13 +37,16 @@ The points, all on 65,536-slot tables built from seeded keys:
   10,000-op workloads of seeds 0-7 at steps 1 and 3, the shape of the
   perfbench fuzz-checked workload and of the acceptance per-op campaign.
 - a replay of the fuzz-bulk ops through insert_counted, contains_counted
-  and remove_counted on a fresh table of each kind at steps 1 and 3.
+  and remove_counted on a fresh table of each kind at steps 1 and 3, and
+  on the tombstone table also through the methods run_differential binds,
+  its plain insert, contains and remove (replay_plain).
 - lookups on each replayed table and on the saturated tombstone table:
   contains_counted over 256 seeded stored keys (contains_stored) and over
   256 absent keys (contains_absent), remove_counted over the absent keys
   (remove_absent), and 256 remove+insert pairs (remove_insert_pair), each
   call of which removes one of those two key sets and inserts the other,
-  so the live count stays put.
+  so the live count stays put; and the same four through the plain
+  contains, remove and insert (each name suffixed _plain).
 - construction of an empty table of each kind.
 - churn: `compacthash bench --rounds 4` through each version's cli.main
   in CHURN_PAIRS pairs whose order alternates, with equal bench.csv bytes
@@ -275,10 +278,11 @@ def differential_rows(parent):
             yield point, {"run_differential": paired(*loops)}
 
 
-def _replay(pkg, kind: str, step: int, ops):
-    """A fresh table of kind after ops, applied through its *_counted methods."""
+def _replay(pkg, kind: str, step: int, ops, suffix: str = "_counted"):
+    """A fresh table of kind after ops, applied through its insert, contains and remove methods named with suffix."""
     table = getattr(pkg, kind)(pkg.TableParams(CAPACITY, step))
-    methods = {pkg.ADD: table.insert_counted, pkg.CONTAINS: table.contains_counted, pkg.REMOVE: table.remove_counted}
+    methods = {op_kind: getattr(table, name + suffix)
+               for op_kind, name in ((pkg.ADD, "insert"), (pkg.CONTAINS, "contains"), (pkg.REMOVE, "remove"))}
     for op_kind, key in ops:
         methods[op_kind](key)
     return table
@@ -288,11 +292,11 @@ def _each(method, keys: list[int]) -> list:
     return list(map(method, keys))
 
 
-def _swap(table, stored: list[int], absent: list[int]):
-    """A call removes one key set from table and inserts the other, pair by pair, then swaps their roles."""
-    remove, insert = table.remove_counted, table.insert_counted
-    sets = [stored, absent]
+def _swap(remove, insert, sets: list[list[int]]):
+    """A call removes sets[0] through remove and inserts sets[1] through insert, pair by pair, then swaps the two.
 
+    Calls that share sets keep the table in step, whichever of them ran last.
+    """
     def call():
         for victim, key in zip(*sets):
             remove(victim)
@@ -303,19 +307,27 @@ def _swap(table, stored: list[int], absent: list[int]):
 
 
 def lookup_row(point: str, tables, step: int) -> dict:
-    """The four lookup figures on a pair of equal tables; the pairs come last, since they change the tables."""
+    """The four lookup figures, through the counted and through the plain methods, on a pair of equal tables.
+
+    The pairs come last, since they change the tables.
+    """
     _agree(point, "tables", *(t.state_bytes() for t in tables))
     live = len(tables[0])
     stored = random.Random(step).sample(sorted(tables[0].keys()), LOOKUP_KEYS)
     absent = [k + (1 << 40) for k in _keys(100 + step, LOOKUP_KEYS)]
     row = {"keys": LOOKUP_KEYS}
-    for name, method, keys in (("contains_stored", "contains_counted", stored),
-                               ("contains_absent", "contains_counted", absent),
-                               ("remove_absent", "remove_counted", absent)):
-        runs = [partial(_each, getattr(t, method), keys) for t in tables]
-        _agree(f"{point}/{name}", "results", runs[0](), runs[1]())
-        row[name] = paired(*runs)
-    row["remove_insert_pair"] = paired(*(_swap(t, stored, absent) for t in tables))
+    variants = (("", "_counted"), ("_plain", ""))  # figure name suffix, method name suffix
+    for figure, suffix in variants:
+        for name, method, keys in (("contains_stored", "contains", stored),
+                                   ("contains_absent", "contains", absent),
+                                   ("remove_absent", "remove", absent)):
+            runs = [partial(_each, getattr(t, method + suffix), keys) for t in tables]
+            _agree(f"{point}/{name}{figure}", "results", runs[0](), runs[1]())
+            row[name + figure] = paired(*runs)
+    sets = [[stored, absent] for _ in tables]
+    for figure, suffix in variants:
+        swaps = [_swap(getattr(t, "remove" + suffix), getattr(t, "insert" + suffix), s) for t, s in zip(tables, sets)]
+        row["remove_insert_pair" + figure] = paired(*swaps)
     _agree(point, "tables after the passes", *(t.state_bytes() for t in tables))
     _passes(point, tables[0])
     if len(tables[0]) != live:
@@ -334,7 +346,12 @@ def table_rows(parent):
             tables = [run() for run in runs]
             _agree(point, "tables", *(t.state_bytes() for t in tables))
             _passes(point, tables[0])
-            yield point, {"ops": len(ops[0]), "replay": paired(*runs)}
+            row = {"ops": len(ops[0]), "replay": paired(*runs)}
+            if name == "tombstone":
+                plain = [partial(_replay, pkg, kind, step, o, "") for pkg, o in zip(pkgs, ops)]
+                _agree(point, "plain and counted tables", plain[0]().state_bytes(), tables[0].state_bytes())
+                row["replay_plain"] = paired(*plain)
+            yield point, row
             lookups[f"lookup/{name}-replayed/step{step}"] = tables
         lookups[f"lookup/tombstone-saturated/step{step}/load{SATURATED_LOAD}"] = [_saturated(step, pkg) for pkg in pkgs]
         for point, tables in lookups.items():

@@ -6,9 +6,9 @@ by every probe loop; Python's % is total over the signed 64-bit range.
 
 :class:`OpenAddressTable` is everything CompactTable and TombstoneTable
 have in common: the key array and live count, the accessors, growing
-and rebuilding by rehash, and the public insert/contains/remove wrappers
-over each table's counted operations, which each table writes out whole
-(insert_counted makes its own key-range and growth checks).
+and rebuilding by rehash, and public insert/contains/remove wrappers
+over the counted operations that each table writes out whole; a table
+may override the wrappers, as TombstoneTable does.
 """
 
 from array import array
@@ -83,11 +83,16 @@ class OpenAddressTable:
     - remove_counted(key) -> a tuple whose first item is "removed";
     - keys(), yielding the stored keys in ascending slot order.
 
+    A subclass may override the plain insert, contains and remove (and
+    rebind __contains__); each must give its counted twin's answer, raise
+    its errors and leave the same table.
+
     Instances are single-writer: no call is safe concurrently with a
     mutation on the same instance, but distinct instances are independent
-    and may live on different threads. A TombstoneTable lookup may compress
-    its next-FREE pointers, yet concurrent lookups agree: each such write
-    stores the first FREE slot after the slot written, which no lookup moves.
+    and may live on different threads. A TombstoneTable's counted lookups
+    may compress its next-FREE pointers, yet concurrent lookups agree: each
+    such write stores the first FREE slot after the slot written, which no
+    lookup moves. Its plain lookups write nothing.
     """
 
     __slots__ = ("_params", "_capacity", "_step", "_keys", "_live")

@@ -5,16 +5,17 @@ searches must walk through deleted slots, and insertions may reuse them.
 The count of non-FREE slots therefore never decreases, which is the
 degradation the compact table avoids and the benchmark CLI measures.
 
-Every op reports the slots the classical walk from the key's home slot
-would examine, the slot it stops on included: (stop - home) * step^-1
-mod capacity + 1. A FREE home is its own stop. Otherwise a key-to-slot
-dict settles membership: a present key stops the walk on its own slot,
-which lies before the first FREE slot on its path, and an absent key's
-walk stops on that first FREE slot, found by next-FREE pointers with
-path compression (FREE slots never reappear before a rehash). Only
-insertion walks, and only across the BUSY slots before the slot it
-takes, so no op's cost grows with capacity, even on a saturated table
-where the classical walk is Theta(capacity).
+The plain insert, contains and remove compute no probe count: a FREE
+home slot or a key-to-slot dict answers a lookup, and only insertion
+walks, across the BUSY slots before the slot it takes, so no op's cost
+grows with capacity, even on a saturated table where the classical walk
+is Theta(capacity). The *_counted twins add the slots the classical walk
+from the key's home would examine, the slot it stops on included:
+(stop - home) * step^-1 mod capacity + 1. The stop is a FREE home
+itself, a stored key's slot, or else (an absent key, or an insert that
+reuses a tombstone) the first FREE slot on the path, found by next-FREE
+pointers with path compression that only the twins follow (FREE slots
+never reappear before a rehash).
 """
 
 from array import array
@@ -76,24 +77,18 @@ class TombstoneTable(OpenAddressTable):
 
     # -- membership ----------------------------------------------------
 
+    def contains(self, key: int) -> bool:
+        return self._states[key % self._capacity] != FREE and key in self._slot_of  # a non-int key raises first
+
     def contains_counted(self, key: int) -> tuple[bool, int]:
         """Like contains, also returning the slots examined, terminator or hit included."""
-        m = self._capacity
-        home = key % m
-        if self._states[home] == FREE:  # a key that is no int raises here, before _slot_of can match it by hash
-            return False, 1
-        i = self._slot_of.get(key)
-        if i is None:
-            return False, (self._first_free(home) - home) * self._inv_step % m + 1
-        return True, (i - home) * self._inv_step % m + 1
+        return self._contains(key), self._walk_count(key)
 
     # -- insertion ------------------------------------------------------
 
-    # insert writes its walk and its key and growth checks out: a shared
-    # method would add a Python call, about the cost of a short lookup.
-    def insert_counted(self, key: int) -> tuple[bool, int]:
+    def insert(self, key: int) -> bool:
         """Reuse the first tombstone on the probe path if the key is absent,
-        otherwise take the first FREE slot; count as the classical walk."""
+        otherwise take the first FREE slot; False if the key was present."""
         if not KEY_MIN <= key <= KEY_MAX:
             raise KeyOutOfRangeError(f"key {key} is outside the signed 64-bit range")
         if self._params.growth_enabled and (self._non_free + 1) / self._capacity > GROWTH_LOAD_FACTOR:
@@ -101,31 +96,46 @@ class TombstoneTable(OpenAddressTable):
             self._grow()
         m = self._capacity
         st = self._states
-        i = home = key % m
+        i = key % m
         s = st[i]  # a key that is no int raises here, before _slot_of can match it by hash
-        found = self._slot_of.get(key)
-        if found is not None:
-            return False, (found - home) * self._inv_step % m + 1
+        if key in self._slot_of:
+            return False
         step = self._step
-        n = 1
         while s == BUSY:
             i += step
             if i >= m:
                 i -= m
-            n += 1
             s = st[i]
         if s == FREE:
             if m - self._non_free == 1:
                 raise TableFullError(f"table has a single FREE slot left (capacity {m}) and growth disabled")
             self._non_free += 1
             self._next_free[i] = (i + step) % m
-        else:
-            n = (self._first_free(i) - home) * self._inv_step % m + 1
         st[i] = BUSY
         self._keys[i] = key
         self._live += 1
         self._slot_of[key] = i
-        return True, n
+        return True
+
+    def insert_counted(self, key: int) -> tuple[bool, int]:
+        """Like insert, also returning the slots the classical walk examines."""
+        m, non_free = self._capacity, self._non_free
+        added = self._insert(key)
+        if added and self._capacity == m and self._non_free == non_free:
+            home = key % m  # a reused tombstone: the classical walk goes on to the first FREE slot
+            return True, (self._first_free(home) - home) * self._inv_step % m + 1
+        return added, self._walk_count(key)
+
+    def _walk_count(self, key: int) -> int:
+        """Slots the classical walk for key examines: to key's slot if stored, else to the first FREE slot."""
+        m = self._capacity
+        home = key % m
+        if self._states[home] == FREE:
+            return 1
+        stop = self._slot_of.get(key)
+        if stop is None:
+            stop = self._first_free(home)
+        return (stop - home) * self._inv_step % m + 1
 
     def _first_free(self, i: int) -> int:
         """First FREE slot on the probe path from non-FREE slot i.
@@ -146,17 +156,25 @@ class TombstoneTable(OpenAddressTable):
 
     # -- deletion -------------------------------------------------------
 
-    def remove_counted(self, key: int) -> tuple[bool, int]:
+    def remove(self, key: int) -> bool:
         """Mark key's slot DELETED; the slot stays on every probe path."""
-        m = self._capacity
-        home = key % m
         st = self._states
-        if st[home] == FREE:  # a key that is no int raises here, before _slot_of can match it by hash
-            return False, 1
+        if st[key % self._capacity] == FREE:  # a key that is no int raises here, before _slot_of can match it by hash
+            return False
         i = self._slot_of.pop(key, None)
         if i is None:
-            return False, (self._first_free(home) - home) * self._inv_step % m + 1
+            return False
         st[i] = DELETED
         self._keys[i] = 0
         self._live -= 1
-        return True, (i - home) * self._inv_step % m + 1
+        return True
+
+    def remove_counted(self, key: int) -> tuple[bool, int]:
+        """Like remove, also returning the slots examined, terminator or hit included."""
+        n = self._walk_count(key)
+        return self._remove(key), n
+
+    # the twins' names for the plain ops: a wrapper that makes a public op call its twin must not recurse
+    _contains = __contains__ = contains
+    _insert = insert
+    _remove = remove

@@ -1,4 +1,4 @@
-"""The timing helpers of bench/perf.py: ratio_row, paired and load_package."""
+"""The helpers of bench/perf.py: ratio_row, paired, load_package, _replay and _swap."""
 
 import importlib.util
 import sys
@@ -64,3 +64,27 @@ def test_load_package_imports_a_second_copy_that_builds_equal_tables(perf):
     finally:
         for name in [n for n in sys.modules if n.partition(".")[0] == "compacthash_parent"]:
             del sys.modules[name]
+
+
+def test_replay_through_plain_and_counted_methods_builds_equal_tables(perf):
+    ops = compacthash.generate_workload(compacthash.WorkloadSpec(0, 2000, (0, 200)))
+    for kind in ("CompactTable", "TombstoneTable"):
+        counted, plain = (perf._replay(compacthash, kind, 3, ops, suffix) for suffix in ("_counted", ""))
+        assert len(counted) > 0 and counted.state_bytes() == plain.state_bytes()
+
+
+def test_swaps_that_share_their_sets_keep_the_table_in_step(perf):
+    t = compacthash.TombstoneTable(compacthash.TableParams(31, 3))
+    stored, absent = [1, 2, 3], [40, 41, 42]
+    for key in stored:
+        t.insert(key)
+    sets = [stored, absent]
+    counted = perf._swap(t.remove_counted, t.insert_counted, sets)
+    plain = perf._swap(t.remove, t.insert, sets)
+    counted()
+    assert sorted(t.keys()) == absent
+    plain()
+    assert sorted(t.keys()) == stored
+    plain()
+    counted()
+    assert sorted(t.keys()) == stored

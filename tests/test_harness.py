@@ -342,14 +342,14 @@ class TestRunDifferential:
     def test_tombstone_invariant_failure_is_recorded(self, monkeypatch):
         # a remove that miscounts non-FREE slots answers correctly, so only
         # the checker can see it
-        remove_counted = TombstoneTable.remove_counted
+        remove = TombstoneTable.remove
 
         def miscounting_remove(self, key):
-            result = remove_counted(self, key)
+            result = remove(self, key)
             self._non_free += 1
             return result
 
-        monkeypatch.setattr(TombstoneTable, "remove_counted", miscounting_remove)
+        monkeypatch.setattr(TombstoneTable, "remove", miscounting_remove)
         ops = [OpRecord(ADD, 7), OpRecord(ADD, 14), OpRecord(REMOVE, 7), OpRecord(CONTAINS, 14)]
         verdict = run_differential(ops, TableParams(7, 1), check_every=1)
         assert not verdict.passed

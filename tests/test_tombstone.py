@@ -1,10 +1,12 @@
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from compacthash import (BUSY, DELETED, FREE, CapacityTooSmallError, TableFullError,
+from compacthash import (BUSY, DELETED, FREE, CapacityTooSmallError, KeyOutOfRangeError, TableFullError,
                          TableParams, TombstoneTable, check_invariants)
+from compacthash.probing import KEY_MAX, KEY_MIN
 
 
 def build(capacity, step=1, keys=(), **kw):
@@ -353,3 +355,89 @@ def test_insert_counts_across_growth():
         if growths >= 3 and reuses > 0:
             break
     assert growths >= 3 and reuses > 0
+
+
+@st.composite
+def twin_cases(draw):
+    """Any accepted TableParams at capacities 1-23 (every coprime step, any
+    step at capacity 1, growth on and off) and ops on keys whose homes
+    collide, the ends of the key range, a key past it, 1 and 1.0."""
+    capacity = draw(st.integers(1, 23))
+    steps = [s for s in range(1, capacity) if gcd(s, capacity) == 1]
+    step = draw(st.sampled_from(steps) if steps else st.integers(1, 64))
+    params = TableParams(capacity, step, draw(st.booleans()))
+    keys = st.integers(-3 * capacity - 3, 3 * capacity + 3) | st.sampled_from([KEY_MIN, KEY_MAX, KEY_MAX + 1, 1, 1.0])
+    return params, draw(st.lists(st.tuples(st.sampled_from(["insert", "contains", "in", "remove"]), keys),
+                                 max_size=60))
+
+
+def _outcome(call, key):
+    try:
+        return call(key)
+    except (TypeError, KeyOutOfRangeError, TableFullError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(twin_cases())
+@example((TableParams(3, 1), [("insert", 1), ("in", 1.0), ("remove", 1.0), ("insert", 1.0), ("contains", 4),
+                              ("insert", 4), ("remove", 1), ("insert", 7), ("insert", KEY_MAX + 1)]))
+@example((TableParams(1, 5, growth_enabled=True), [("insert", 3), ("insert", 4), ("remove", 3), ("insert", 5),
+                                                   ("insert", KEY_MIN), ("contains", KEY_MAX)]))
+@example((TableParams(5, 1, growth_enabled=True), [("insert", 0), ("insert", 1), ("remove", 1), ("insert", 2),
+                                                   ("insert", 3)]))  # growth drops one tombstone, the insert takes a slot
+def test_plain_ops_match_their_counted_twins(case):
+    # one table takes the plain ops, the other their counted twins: equal
+    # answers, equal exceptions and equal tables after every op, and each
+    # twin's count is the classical walk's
+    params, ops = case
+    plain, counted = TombstoneTable(params), TombstoneTable(params)
+    for op, key in ops:
+        expected_n = classical_insert_count(counted, key) if type(key) is int else None
+        capacity = counted.capacity
+        twin = getattr(counted, ("contains" if op == "in" else op) + "_counted")
+        got = _outcome(twin, key)
+        answer = got[0] if type(got[0]) is bool else got
+        plain_answer = _outcome(plain.__contains__ if op == "in" else getattr(plain, op), key)
+        assert (type(plain_answer), plain_answer) == (type(answer), answer)
+        if type(got[0]) is bool:
+            if counted.capacity != capacity:  # the insert grew the table, so it walked the rebuilt one
+                expected_n = classical_insert_count(counted, key)
+            assert got[1] == expected_n
+        assert plain.state_bytes() == counted.state_bytes()
+        assert len(plain) == len(counted)
+        assert plain.non_free_count == counted.non_free_count
+        assert plain._slot_of == counted._slot_of
+
+
+def test_plain_lookups_write_nothing():
+    # on a saturated table a miss's next-FREE chain is long, and only the
+    # counted twins follow it and compress it
+    rng = random.Random(3)
+    t = TombstoneTable(TableParams(1024, 3))
+    keys = rng.sample(range(1 << 40), 1023)
+    for key in keys:
+        assert t.insert(key)
+    for key in keys[16:]:
+        assert t.remove(key)
+    assert t.non_free_count == t.capacity - 1
+    misses = [key + (1 << 40) for key in rng.sample(range(1 << 40), 256)]
+    before = t._next_free.tobytes(), t.state_bytes()
+    for lookup in (t.contains, lambda key: key in t, t.remove):
+        assert not any(map(lookup, misses))
+        assert (t._next_free.tobytes(), t.state_bytes()) == before
+    assert not t.contains_counted(misses[0])[0]
+    assert t._next_free.tobytes() != before[0]
+
+
+def test_twins_survive_public_ops_that_call_them(monkeypatch):
+    # a tracer may replace each public op with a call of its counted twin;
+    # the twins must still reach the plain bodies
+    for op in ("insert", "contains", "remove"):
+        twin = getattr(TombstoneTable, op + "_counted")
+        monkeypatch.setattr(TombstoneTable, op, lambda self, key, twin=twin: twin(self, key)[0])
+    t = TombstoneTable(TableParams(7, 3))
+    assert t.insert(3) and t.contains(3) and t.remove(3)
+    assert t.contains_counted(3) == (False, 2)
+    assert t.insert_counted(10) == (True, 2)  # reuses slot 3; the walk goes on to FREE slot 6
+    assert t.remove_counted(10) == (True, 1)
