@@ -1,6 +1,6 @@
 """Wall time of every layer, paired in-process against a parent package.
 
-    PYTHONPATH=src python bench/perf.py --label change --out BENCH_18.json --parent-src ../parent/src
+    PYTHONPATH=src python bench/perf.py --label change --out BENCH_20.json --parent-src ../parent/src
 
 imports the compacthash package under DIR as compacthash_parent (every
 import inside the package is relative) and times this checkout's package,
@@ -53,8 +53,8 @@ The points, all on 65,536-slot tables built from seeded keys:
   required. A probe_stats hook marks where each version's rows are built,
   so churn/rounds is the time of the four churn rounds alone, without the
   probe_stats calls between them, and churn/prefill the time from the
-  call of main to the first row: argument parsing, table construction and
-  the prefill to the live target.
+  start of the bench to the first row: the output directory, argument
+  parsing, table construction and the prefill to the live target.
 """
 
 import argparse
@@ -123,29 +123,39 @@ def _saturated(step: int, pkg):
     return t
 
 
-def _bench_churned(pkg):
-    """The tombstone table of a default compacthash bench after BENCH_ROUNDS rounds.
+def _bench(pkg, rounds: int, hook) -> bytes:
+    """bench.csv bytes of a default `compacthash bench --rounds rounds` through pkg's cli.main.
 
-    Runs the bench itself with --rounds BENCH_ROUNDS, through a
-    probe_stats hook that keeps the last tombstone table it sees.
+    Each probe_stats call of the bench goes to hook(probe_stats, table)
+    instead; the real probe_stats is back in place however the bench ends.
     """
     cli = importlib.import_module(pkg.__name__ + ".cli")
     inner = cli.probe_stats
+    cli.probe_stats = partial(hook, inner)
+    try:
+        with tempfile.TemporaryDirectory() as out_dir:
+            if cli.main(["bench", "--rounds", str(rounds), "--out-dir", out_dir]) != 0:
+                raise SystemExit(f"{pkg.__name__}: compacthash bench failed")
+            return Path(out_dir, "bench.csv").read_bytes()
+    finally:
+        cli.probe_stats = inner
+
+
+def _bench_churned(pkg):
+    """The tombstone table of a default compacthash bench after BENCH_ROUNDS rounds.
+
+    Runs the bench itself, through a probe_stats hook that keeps the last
+    tombstone table it sees.
+    """
     last = None
 
-    def keep_tombstone(table):
+    def keep_tombstone(inner, table):
         nonlocal last
         if isinstance(table, pkg.TombstoneTable):
             last = table
         return inner(table)
 
-    cli.probe_stats = keep_tombstone
-    try:
-        with tempfile.TemporaryDirectory() as out_dir:
-            if cli.main(["bench", "--rounds", str(BENCH_ROUNDS), "--out-dir", out_dir]) != 0:
-                raise SystemExit("compacthash bench failed")
-    finally:
-        cli.probe_stats = inner
+    _bench(pkg, BENCH_ROUNDS, keep_tombstone)
     return last
 
 
@@ -365,25 +375,16 @@ def table_rows(parent):
 
 def _churn_run(pkg) -> tuple[bytes, float, float]:
     """bench.csv bytes, prefill seconds and round seconds of one bench of pkg."""
-    cli = importlib.import_module(pkg.__name__ + ".cli")
-    inner = cli.probe_stats
     marks = []  # perf_counter on entering and on leaving each probe_stats call
 
-    def marked(table):
+    def marked(inner, table):
         marks.append(time.perf_counter())
         stats = inner(table)
         marks.append(time.perf_counter())
         return stats
 
-    cli.probe_stats = marked
-    try:
-        with tempfile.TemporaryDirectory() as out_dir:
-            t0 = time.perf_counter()
-            if cli.main(["bench", "--rounds", str(CHURN_ROUNDS), "--out-dir", out_dir]) != 0:
-                raise SystemExit(f"{pkg.__name__}: compacthash bench failed")
-            csv = Path(out_dir, "bench.csv").read_bytes()
-    finally:
-        cli.probe_stats = inner
+    t0 = time.perf_counter()
+    csv = _bench(pkg, CHURN_ROUNDS, marked)
     # four marks per round's rows, so round r runs from the end of round
     # r - 1's rows, mark 4r - 1, to the start of its own, mark 4r
     rounds = sum(marks[4 * r] - marks[4 * r - 1] for r in range(1, CHURN_ROUNDS + 1))

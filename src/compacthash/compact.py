@@ -98,6 +98,8 @@ class CompactTable(OpenAddressTable):
         self._live += 1
         return True, j
 
+    _insert = insert_counted  # rehash's name for placement, which no wrapper patches
+
     # -- deletion -------------------------------------------------------
 
     def remove_counted(self, key: int) -> tuple[bool, int, int, int]:

@@ -16,13 +16,13 @@ and sorted, and at step 1 it is the occupied slots themselves.
 
 Reachability (Knuth, TAOCP Vol. 3, 6.4, Algorithm R: a key is found iff
 no empty slot lies between its home and its slot) is a predecessor test
-on cp. Let rank be a key's index in cp and d the path positions before
-it: its probe count minus 1 in a compact table, the cycle distance from
-its home in a tombstone table. When the key lies d positions past its
-home, those d positions are all occupied iff the d-th occupied position
-before it, cp[rank - d] taken cyclically, is its home: O(1) per key,
-with no prefix sums. probe_stats reads its cluster lengths and its exact
-mean miss cost from the runs of consecutive positions in cp.
+on cp. Let rank be a key's index in cp and d the cycle distance from
+its home, the path positions before it (a compact key whose probe count
+minus 1 is not d is misplaced, and tested no further). Those d positions
+are all occupied iff the d-th occupied position before it, cp[rank - d]
+taken cyclically, is its home: O(1) per key, with no prefix sums.
+probe_stats reads its cluster lengths and its exact mean miss cost from
+the runs of consecutive positions in cp.
 
 A check screens first and builds a report only on failure. A passing
 check costs one O(capacity) scan of the table, the compare and nonzero
@@ -177,13 +177,13 @@ def _check_compact(table: CompactTable) -> ViolationReport:
     # every nonzero count marks a busy slot, as it does for the table's walks
     cp, busy, counts = _occupied_in_cycle(pc != 0, pc, step)
     live = cp.size
-    d = counts - 1  # path slots before each key
     ks = keys[busy]
     hp = ks % m if step == 1 else ks % m * pow(step, -1, m) % m  # home positions
+    dist = (cp - hp) % m  # path slots before each key
     # a remainder mod m lies in 0..m-1, so this flags every count outside 1..m too
-    wrong = (cp - hp) % m != d
-    # the predecessor test, with d clipped to 0..live-1 so that rank - d indexes cp
-    gap = (d >= live) | (cp[np.arange(live) - np.maximum(np.minimum(d, live - 1), 0)] != hp)
+    wrong = dist != counts - 1
+    # the predecessor test, as in _check_tombstone; gaps count only where wrong is not set
+    gap = (dist >= live) | (cp[np.arange(live) - np.minimum(dist, live - 1)] != hp)
     flags = wrong | gap
     ks.sort()
     flags[1:] |= ks[1:] == ks[:-1]  # a repeated key
@@ -197,8 +197,8 @@ def _check_compact(table: CompactTable) -> ViolationReport:
         report.violations.append(Violation(-1, COUNT_MISMATCH, f"occupancy cap violated: {live} busy of {m} slots"))
     if live == 0:
         return report
-    # a count outside 1..m, negative ones included, is a d of m or more as uint64
-    bad_range = d.view(np.uint64) >= m
+    # a count outside 1..m, negative ones included, is a count - 1 of m or more as uint64
+    bad_range = (counts - 1).view(np.uint64) >= m
     for s in busy[_by_slot(np.flatnonzero(bad_range), busy)]:
         count = int(pc[s])
         detail = f"exceeds capacity {m}" if count > m else "is negative"
@@ -206,7 +206,7 @@ def _check_compact(table: CompactTable) -> ViolationReport:
     # every busy slot stays occupied on the paths, whatever its count, but
     # only the keys with a count in range are placed, compared and walked
     rank = np.flatnonzero(~bad_range)
-    slots, d, cpos, wrong, gap = busy[rank], d[rank], cp[rank], wrong[rank], gap[rank]
+    slots, d, cpos, wrong, gap = busy[rank], counts[rank] - 1, cp[rank], wrong[rank], gap[rank]
     kb = keys[slots]
     expect = (kb % m + d * step) % m
     for i in _by_slot(np.flatnonzero(wrong), slots):
@@ -216,7 +216,7 @@ def _check_compact(table: CompactTable) -> ViolationReport:
             f"key {int(kb[i])} with probe_count {int(d[i]) + 1} belongs at slot {int(expect[i])}, found at {s}"))
     report.violations.extend(_dup_violations(kb, slots))
     # a slot with a broken probe count has no meaningful path; only
-    # report gaps where the stored count itself is trustworthy
+    # report gaps where the stored count itself is trustworthy, d == dist
     idx = _by_slot(np.flatnonzero(gap & ~wrong), slots)
     filled = _occupied_before(cp, cpos[idx], d[idx], m)
     for i, f in zip(idx, filled):
@@ -244,7 +244,7 @@ def _check_tombstone(table: TombstoneTable) -> ViolationReport:
     ks = keys[busy]
     hp = ks % m if step == 1 else ks % m * pow(step, -1, m) % m  # home positions
     dist = (cpos - hp) % m
-    # the predecessor test, as in _check_compact
+    # the predecessor test: dist clipped to non_free - 1 indexes cp cyclically
     gap = (dist >= non_free) | (cp[rank - np.minimum(dist, non_free - 1)] != hp)
     flags = gap.copy()
     ks.sort()

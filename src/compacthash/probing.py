@@ -73,12 +73,13 @@ class OpenAddressTable:
     its only constructor argument (rehash builds type(self)(params)) and
     supplies:
 
-    - insert_counted(key) -> (added, slots examined). It raises
-      KeyOutOfRangeError for a key outside [KEY_MIN, KEY_MAX]; then, if
-      growth is enabled and the next insert would push the table's growth
-      count over GROWTH_LOAD_FACTOR, calls index(key) and _grow(); then
-      probes, raising TableFullError rather than take the last empty
-      slot. A raise leaves the table unchanged;
+    - insert_counted(key) -> (added, slots examined), and _insert, the
+      plain insert or insert_counted, whichever the other wraps, which
+      rehash calls, as no wrapper patches it. It raises KeyOutOfRangeError
+      for a key outside [KEY_MIN, KEY_MAX]; then, if growth is on and the
+      next insert would push the growth count over GROWTH_LOAD_FACTOR,
+      calls index(key) and _grow(); then probes, raising TableFullError
+      rather than take the last empty slot. A raise changes nothing;
     - contains_counted(key) -> (found, slots examined);
     - remove_counted(key) -> a tuple whose first item is "removed";
     - keys(), yielding the stored keys in ascending slot order.
@@ -89,10 +90,10 @@ class OpenAddressTable:
 
     Instances are single-writer: no call is safe concurrently with a
     mutation on the same instance, but distinct instances are independent
-    and may live on different threads. A TombstoneTable's counted lookups
-    may compress its next-FREE pointers, yet concurrent lookups agree: each
-    such write stores the first FREE slot after the slot written, which no
-    lookup moves. Its plain lookups write nothing.
+    and may live on different threads. A TombstoneTable's plain ops never
+    touch its next-FREE shortcuts; its counted twins make and compress them
+    in a dict of their own, yet concurrent lookups agree: each such write
+    stores the first FREE slot after the slot written, which no lookup moves.
     """
 
     __slots__ = ("_params", "_capacity", "_step", "_keys", "_live")
@@ -155,6 +156,6 @@ class OpenAddressTable:
                 f"capacity {new_params.capacity} cannot hold {self._live} keys plus an empty slot")
         fresh = type(self)(replace(new_params, growth_enabled=False))
         for key in self.keys():
-            fresh.insert_counted(key)
+            fresh._insert(key)
         fresh._params = new_params
         return fresh

@@ -14,8 +14,8 @@ from the key's home would examine, the slot it stops on included:
 (stop - home) * step^-1 mod capacity + 1. The stop is a FREE home
 itself, a stored key's slot, or else (an absent key, or an insert that
 reuses a tombstone) the first FREE slot on the path, found by next-FREE
-pointers with path compression that only the twins follow (FREE slots
-never reappear before a rehash).
+shortcuts with path compression that only the twins make and follow, in
+a dict of their own: the plain table costs 9 bytes per slot plus _slot_of.
 """
 
 from array import array
@@ -54,8 +54,7 @@ class TombstoneTable(OpenAddressTable):
         self._states = array("b", [FREE]) * params.capacity
         self._non_free = 0
         self._slot_of: dict[int, int] = {}
-        # read only at non-FREE slots, each set when its slot stops being FREE
-        self._next_free = array("q", [0]) * params.capacity
+        self._next_free: dict[int, int] = {}  # the twins' shortcuts, see _first_free
 
     @property
     def non_free_count(self) -> int:
@@ -110,7 +109,6 @@ class TombstoneTable(OpenAddressTable):
             if m - self._non_free == 1:
                 raise TableFullError(f"table has a single FREE slot left (capacity {m}) and growth disabled")
             self._non_free += 1
-            self._next_free[i] = (i + step) % m
         st[i] = BUSY
         self._keys[i] = key
         self._live += 1
@@ -140,18 +138,19 @@ class TombstoneTable(OpenAddressTable):
     def _first_free(self, i: int) -> int:
         """First FREE slot on the probe path from non-FREE slot i.
 
-        _next_free[s] of a non-FREE slot s names a later slot on its path
-        with only non-FREE slots in between. Slots only turn FREE in a
-        fresh table, so the pointers stay valid and are compressed as
-        they are followed.
+        _next_free maps a non-FREE slot to a later slot on its path with
+        only non-FREE slots between, and a slot with no entry goes on to
+        the next. Slots only turn FREE in a fresh table, so entries stay
+        valid; each slot visited is pointed at the FREE slot found.
         """
         nxt = self._next_free
         st = self._states
+        m, step = self._capacity, self._step
         root = i
         while st[root] != FREE:
-            root = nxt[root]
+            root = nxt.get(root, (root + step) % m)
         while i != root:
-            nxt[i], i = root, nxt[i]
+            nxt[i], i = root, nxt.get(i, (i + step) % m)
         return root
 
     # -- deletion -------------------------------------------------------

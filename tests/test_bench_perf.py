@@ -1,4 +1,4 @@
-"""The helpers of bench/perf.py: ratio_row, paired, load_package, _replay and _swap."""
+"""The helpers of bench/perf.py: ratio_row, paired, load_package, _replay, _swap and _bench."""
 
 import importlib.util
 import sys
@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import compacthash
+import compacthash.cli
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -88,3 +89,27 @@ def test_swaps_that_share_their_sets_keep_the_table_in_step(perf):
     plain()
     counted()
     assert sorted(t.keys()) == stored
+
+
+def test_bench_restores_probe_stats_however_it_ends(perf):
+    cli = compacthash.cli
+    inner = cli.probe_stats
+    seen = []
+
+    def keep(real, table):
+        seen.append(type(table))
+        return real(table)
+
+    csv = perf._bench(compacthash, 0, keep)
+    assert b"\nround,table_kind," in csv and seen == [compacthash.CompactTable, compacthash.TombstoneTable]
+    assert cli.probe_stats is inner
+
+    def refuse(real, table):
+        raise RuntimeError("hook")
+
+    with pytest.raises(RuntimeError, match="hook"):
+        perf._bench(compacthash, 0, refuse)
+    assert cli.probe_stats is inner
+    with pytest.raises(SystemExit, match="bench failed"):
+        perf._bench(compacthash, -1, keep)  # a usage error: the bench exits 2
+    assert cli.probe_stats is inner

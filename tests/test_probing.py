@@ -177,6 +177,31 @@ def test_non_int_key_equal_to_a_live_key_raises(cls):
     assert table.contains(1) and table.remove(1)  # and the int key is still found
 
 
+def _grown_and_rebuilt(cls):
+    """Capacity and bytes after a growing insert, and the bytes of a rehash, placed through _insert."""
+    table = cls(TableParams(8, 3, growth_enabled=True))
+    for key in (0, 8, 16, 3, 11, 6):  # the sixth non-FREE slot grows a tombstone table
+        table._insert(key)
+    table.remove(8)
+    table._insert(19)  # the sixth live key grows a compact table
+    return table.capacity, table.state_bytes(), table.rehash(TableParams(31, 3)).state_bytes()
+
+
+@pytest.mark.parametrize("cls", [CompactTable, TombstoneTable])
+def test_rebuilds_place_keys_through_no_public_insert(cls, monkeypatch):
+    # a tracer patches the public inserts, so a rebuild that called them
+    # would be counted and timed as inserts
+    expected = _grown_and_rebuilt(cls)
+    assert expected[0] > 8
+
+    def refuse(self, key):
+        raise AssertionError("a rebuild called a public insert")
+
+    for name in ("insert", "insert_counted"):
+        monkeypatch.setattr(cls, name, refuse)
+    assert _grown_and_rebuilt(cls) == expected
+
+
 def test_default_params():
     p = TableParams()
     assert p.capacity == 1_000_000

@@ -408,11 +408,25 @@ def test_plain_ops_match_their_counted_twins(case):
         assert len(plain) == len(counted)
         assert plain.non_free_count == counted.non_free_count
         assert plain._slot_of == counted._slot_of
+        assert plain._next_free == {}
+        assert_shortcuts_valid(counted)
+
+
+def assert_shortcuts_valid(table):
+    """Each next-FREE shortcut maps a non-FREE slot to a later slot on its
+    path, with only non-FREE slots strictly between."""
+    m, step = table.capacity, table.params.step
+    for slot, target in table._next_free.items():
+        assert table.slot(slot).state != FREE
+        i = (slot + step) % m
+        while i != target:
+            assert i != slot and table.slot(i).state != FREE
+            i = (i + step) % m
 
 
 def test_plain_lookups_write_nothing():
-    # on a saturated table a miss's next-FREE chain is long, and only the
-    # counted twins follow it and compress it
+    # on a saturated table a miss's path to the FREE slot is long, and
+    # only the counted twins make shortcuts along it
     rng = random.Random(3)
     t = TombstoneTable(TableParams(1024, 3))
     keys = rng.sample(range(1 << 40), 1023)
@@ -421,13 +435,15 @@ def test_plain_lookups_write_nothing():
     for key in keys[16:]:
         assert t.remove(key)
     assert t.non_free_count == t.capacity - 1
+    assert t._next_free == {}
     misses = [key + (1 << 40) for key in rng.sample(range(1 << 40), 256)]
-    before = t._next_free.tobytes(), t.state_bytes()
+    before = t.state_bytes()
     for lookup in (t.contains, lambda key: key in t, t.remove):
         assert not any(map(lookup, misses))
-        assert (t._next_free.tobytes(), t.state_bytes()) == before
+        assert t._next_free == {} and t.state_bytes() == before
     assert not t.contains_counted(misses[0])[0]
-    assert t._next_free.tobytes() != before[0]
+    assert t._next_free
+    assert_shortcuts_valid(t)
 
 
 def test_twins_survive_public_ops_that_call_them(monkeypatch):
