@@ -1,6 +1,6 @@
 """Wall time of every layer, paired in-process against a parent package.
 
-    PYTHONPATH=src python bench/perf.py --label change --out BENCH_20.json --parent-src ../parent/src
+    PYTHONPATH=src python bench/perf.py --label change --out BENCH_21.json --parent-src ../parent/src
 
 imports the compacthash package under DIR as compacthash_parent (every
 import inside the package is relative) and times this checkout's package,
@@ -38,8 +38,7 @@ The points, all on 65,536-slot tables built from seeded keys:
   perfbench fuzz-checked workload and of the acceptance per-op campaign.
 - a replay of the fuzz-bulk ops through insert_counted, contains_counted
   and remove_counted on a fresh table of each kind at steps 1 and 3, and
-  on the tombstone table also through the methods run_differential binds,
-  its plain insert, contains and remove (replay_plain).
+  through the plain insert, contains and remove (replay_plain).
 - lookups on each replayed table and on the saturated tombstone table:
   contains_counted over 256 seeded stored keys (contains_stored) and over
   256 absent keys (contains_absent), remove_counted over the absent keys
@@ -356,12 +355,9 @@ def table_rows(parent):
             tables = [run() for run in runs]
             _agree(point, "tables", *(t.state_bytes() for t in tables))
             _passes(point, tables[0])
-            row = {"ops": len(ops[0]), "replay": paired(*runs)}
-            if name == "tombstone":
-                plain = [partial(_replay, pkg, kind, step, o, "") for pkg, o in zip(pkgs, ops)]
-                _agree(point, "plain and counted tables", plain[0]().state_bytes(), tables[0].state_bytes())
-                row["replay_plain"] = paired(*plain)
-            yield point, row
+            plain = [partial(_replay, pkg, kind, step, o, "") for pkg, o in zip(pkgs, ops)]
+            _agree(point, "plain and counted tables", plain[0]().state_bytes(), tables[0].state_bytes())
+            yield point, {"ops": len(ops[0]), "replay": paired(*runs), "replay_plain": paired(*plain)}
             lookups[f"lookup/{name}-replayed/step{step}"] = tables
         lookups[f"lookup/tombstone-saturated/step{step}/load{SATURATED_LOAD}"] = [_saturated(step, pkg) for pkg in pkgs]
         for point, tables in lookups.items():

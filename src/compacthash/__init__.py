@@ -12,8 +12,8 @@ from .errors import (CapacityTooSmallError, CompactHashError, EmptyKeyUniverseEr
                      KeyOutOfRangeError, StepNotCoprimeError, StepOutOfRangeError,
                      TableFullError, TraceParseError, ZeroCapacityError)
 from .harness import (ADD, CONTAINS, GENERATOR_ID, REMOVE, Divergence, InvariantFailure,
-                      OpRecord, SplitMix64, Verdict, WorkloadSpec, format_trace,
-                      generate_workload, parse_trace, run_differential)
+                      SplitMix64, Verdict, WorkloadSpec, format_trace, generate_workload,
+                      parse_trace, run_differential)
 from .introspect import (COUNT_MISMATCH, DUPLICATE_KEY, REACHABILITY_GAP,
                          SLOT_INCONSISTENT, ProbeStats, Violation, ViolationReport,
                          check_invariants, probe_stats)
@@ -26,7 +26,7 @@ __all__ = [
     "ADD", "BUSY", "CONTAINS", "COUNT_MISMATCH", "DELETED", "DUPLICATE_KEY", "FREE",
     "GENERATOR_ID", "REACHABILITY_GAP", "REMOVE", "SLOT_INCONSISTENT",
     "CapacityTooSmallError", "CompactHashError", "CompactTable", "Divergence",
-    "EmptyKeyUniverseError", "InvariantFailure", "KeyOutOfRangeError", "OpRecord", "ProbeStats",
+    "EmptyKeyUniverseError", "InvariantFailure", "KeyOutOfRangeError", "ProbeStats",
     "Slot", "SplitMix64", "StepNotCoprimeError", "StepOutOfRangeError",
     "TableFullError", "TableParams", "TombstoneSlot", "TombstoneTable",
     "TraceParseError", "Verdict", "Violation", "ViolationReport", "WorkloadSpec",

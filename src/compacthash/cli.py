@@ -93,7 +93,7 @@ def cmd_trace(args) -> int:
     params = TableParams(capacity, step)
     table = CompactTable(params) if args.table == "compact" else TombstoneTable(params)
     apply_op = {"add": table.insert, "contains": table.contains, "remove": table.remove}
-    results = [apply_op[op.kind](op.key) for op in ops]
+    results = [apply_op[kind](key) for kind, key in ops]
     for result in results:
         print("+" if result else "-")
     print(json.dumps(probe_stats(table).to_json_dict()))
@@ -111,8 +111,8 @@ def cmd_bench(args) -> int:
 
     compact = CompactTable(params)
     tombstone = TombstoneTable(params)
-    # compact's plain insert and remove are *_counted(key)[0], so its counted
-    # methods save a Python frame per key; tombstone's plain ops skip the count
+    # the rounds read compact's slot and relocation counts off its counted
+    # twins; tombstone's plain ops skip the count
     c_insert, c_remove = compact.insert_counted, compact.remove_counted
     t_insert, t_remove = tombstone.insert, tombstone.remove
     next_u64 = SplitMix64(args.seed).next_u64

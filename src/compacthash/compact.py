@@ -51,7 +51,25 @@ class CompactTable(OpenAddressTable):
 
     # Every op writes its probe walk out, and insert its key and growth
     # checks too: a shared method would add a Python call, which costs
-    # about as much as a short lookup.
+    # about as much as a short lookup. The plain contains and remove count
+    # nothing; insert stores its count anyway, so the plain insert is
+    # insert_counted's answer, and run_differential and bench call the twin.
+    def contains(self, key: int) -> bool:
+        m = self._capacity
+        step = self._step
+        pc = self._probe_counts
+        keys = self._keys
+        i = key % m
+        while pc[i]:
+            if keys[i] == key:
+                return True
+            i += step
+            if i >= m:
+                i -= m
+        return False
+
+    __contains__ = contains
+
     def contains_counted(self, key: int) -> tuple[bool, int]:
         """Like contains, also returning the number of slots examined."""
         m = self._capacity
@@ -98,9 +116,32 @@ class CompactTable(OpenAddressTable):
         self._live += 1
         return True, j
 
+    def insert(self, key: int) -> bool:
+        """Add key; False if it was already present."""
+        return self.insert_counted(key)[0]
+
     _insert = insert_counted  # rehash's name for placement, which no wrapper patches
 
     # -- deletion -------------------------------------------------------
+
+    def remove(self, key: int) -> bool:
+        """Delete key and compress the probe chains through its slot; False if it was absent."""
+        m = self._capacity
+        step = self._step
+        pc = self._probe_counts
+        keys = self._keys
+        i = key % m
+        while pc[i]:
+            if keys[i] == key:
+                pc[i] = 0
+                keys[i] = 0
+                self._live -= 1
+                self._compress(i)
+                return True
+            i += step
+            if i >= m:
+                i -= m
+        return False
 
     def remove_counted(self, key: int) -> tuple[bool, int, int, int]:
         """Delete key and compress the probe chains through its slot.

@@ -7,20 +7,16 @@ function of s + i * gamma mod 2**64. A block of draws is therefore one
 wrapping numpy uint64 expression; the base phase of a workload is
 built 4,096 draws at a time, and SplitMix64 hands out further draws
 from blocks it refills. Identical specs yield identical operation
-sequences forever. generate_workload builds its records with the cyclic
-garbage collector paused: OpRecord is a tuple subclass, which CPython
-never untracks, so collections triggered by the build itself would walk
-every record built so far. The pause is process-wide and the caller's
-collector state is restored on return or raise. The differential runner
-applies every operation to a compact table, a tombstone table, and a
-plain Python set, comparing all three return values and periodically
-running the structural invariant checker.
+sequences forever. An operation is a plain (kind, key) tuple, kind one
+of ADD, CONTAINS and REMOVE; OpRecord names that type. The differential
+runner applies every operation to a compact table, a tombstone table,
+and a plain Python set, comparing all three return values and
+periodically running the structural invariant checker.
 """
 
-import gc
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -45,12 +41,7 @@ _KINDS = np.array([ADD, CONTAINS, REMOVE], dtype=object)
 _KIND_TO_CHAR = {ADD: "a", CONTAINS: "c", REMOVE: "r"}
 _CHAR_TO_KIND = {"a": ADD, "c": CONTAINS, "r": REMOVE}
 
-
-class OpRecord(NamedTuple):
-    """One replayable table operation."""
-
-    kind: str  # "add" | "contains" | "remove"
-    key: int
+OpRecord = tuple[str, int]  # (kind, key): one replayable table operation
 
 
 @dataclass(frozen=True)
@@ -163,18 +154,13 @@ class LiveKeys:
 
 
 def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
-    """Expand spec into its operation sequence.
+    """Expand spec into its operation sequence of (kind, key) tuples.
 
     Base op i takes draws 2i (its kind, against the mix thresholds) and
     2i + 1 (its key). Churn-round removals target keys that are live at
     that point of the sequence (tracked by replaying set semantics), so
     churn genuinely exercises deletion; churn additions draw until they
     find a key that is not currently live.
-
-    The cyclic garbage collector is paused while the records are built,
-    because CPython never untracks tuple subclasses such as OpRecord. The
-    pause is process-wide; the collector's previous state (enabled or
-    not) is restored on return or raise.
     """
     lo, hi = spec.key_universe
     if hi <= lo:
@@ -196,17 +182,6 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
     thresholds = [np.uint64(t) for t in (t_add, t_contains) if t <= _MASK64]
     span = hi - lo
 
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _expand(spec, thresholds, lo, span)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _expand(spec: WorkloadSpec, thresholds: list[np.uint64], lo: int, span: int) -> list[OpRecord]:
-    """The records of a validated spec: the base phase, then the churn replay."""
     # the base phase goes a block of draws at a time, so its arrays and
     # intermediate lists stay small beside the op list
     n = spec.op_count
@@ -219,7 +194,7 @@ def _expand(spec: WorkloadSpec, thresholds: list[np.uint64], lo: int, span: int)
             code += u >= t
         offsets = k % np.uint64(span) if span <= _MASK64 else k
         keys = map(lo.__add__, offsets.tolist())
-        ops += map(tuple.__new__, repeat(OpRecord), zip(_KINDS[code].tolist(), keys))
+        ops += zip(_KINDS[code].tolist(), keys)
     if not spec.churn_rounds:
         return ops
 
@@ -236,9 +211,9 @@ def _expand(spec: WorkloadSpec, thresholds: list[np.uint64], lo: int, span: int)
         # no key turns live during the removals, so once none is left the
         # rest of the batch removes keys drawn from the whole universe
         picks = min(batch, len(live.keys))
-        ops += [OpRecord(REMOVE, key) for key in live.pick(next_u64, picks)]
-        ops += [OpRecord(REMOVE, lo + next_u64() % span) for _ in range(batch - picks)]
-        ops += [OpRecord(ADD, key) for key in live.add_fresh(next_u64, lo, span, batch)]
+        ops += zip(repeat(REMOVE), live.pick(next_u64, picks))
+        ops += [(REMOVE, lo + next_u64() % span) for _ in range(batch - picks)]
+        ops += zip(repeat(ADD), live.add_fresh(next_u64, lo, span, batch))
     return ops
 
 
@@ -253,9 +228,10 @@ class Divergence:
     oracle_result: Union[bool, str]
 
     def to_json_dict(self) -> dict:
+        kind, key = self.op
         return {
             "op_index": self.op_index,
-            "op": {"kind": self.op.kind, "key": self.op.key},
+            "op": {"kind": kind, "key": key},
             "compact_result": self.compact_result,
             "tombstone_result": self.tombstone_result,
             "oracle_result": self.oracle_result,
@@ -300,24 +276,26 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
     iff both tables' answers are that very object. Every check_every
     operations both tables get a full invariant check; violations are
     collected and the run keeps going (the checker reports, it never aborts).
+    Raises ValueError unless check_every is an int of at least 1.
     """
-    if check_every < 1:
-        raise ValueError(f"check_every must be positive, got {check_every}")
+    if type(check_every) is not int or check_every < 1:
+        raise ValueError(f"check_every must be an int >= 1, got {check_every!r}")
     compact = CompactTable(params)
     tombstone = TombstoneTable(params)
     model: set[int] = set()
     failures: list[InvariantFailure] = []
 
-    # compact's plain ops are *_counted(key)[0], so its counted ones save a
-    # Python frame per op; tombstone's plain ops skip the count
-    c_insert, c_contains, c_remove = compact.insert_counted, compact.contains_counted, compact.remove_counted
+    # compact's plain insert is insert_counted(key)[0], so binding the twin
+    # saves a Python frame per add
+    c_insert, c_contains, c_remove = compact.insert_counted, compact.contains, compact.remove
     t_insert, t_contains, t_remove = tombstone.insert, tombstone.contains, tombstone.remove
-    in_model, model_add, model_discard = model.__contains__, model.add, model.discard
+    model_add, model_discard = model.add, model.discard
 
+    left = check_every  # ops until the next check
     for idx, op in enumerate(ops):
         kind, key = op
         if kind == ADD:
-            o = not in_model(key)
+            o = key not in model
             if o:
                 model_add(key)
             try:
@@ -329,20 +307,22 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
             except TableFullError:
                 t = "TableFull"
         elif kind == CONTAINS:
-            o = in_model(key)
-            c = c_contains(key)[0]
+            o = key in model
+            c = c_contains(key)
             t = t_contains(key)
         elif kind == REMOVE:
-            o = in_model(key)
+            o = key in model
             if o:
                 model_discard(key)
-            c = c_remove(key)[0]
+            c = c_remove(key)
             t = t_remove(key)
         else:
             raise ValueError(f"unknown op kind {kind!r} at index {idx}")
         if c is not o or t is not o:
             return Verdict(Divergence(idx, op, c, t, o), failures)
-        if (idx + 1) % check_every == 0:
+        left -= 1
+        if not left:
+            left = check_every
             for table_kind, table in (("compact", compact), ("tombstone", tombstone)):
                 report = check_invariants(table)
                 if not report.passed:
@@ -354,8 +334,8 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
 def format_trace(ops: Iterable[OpRecord], meta: Optional[dict] = None) -> str:
     """Render ops as trace text: `# name=value` headers in meta's order, one op per line."""
     lines = [f"# {name}={value}" for name, value in (meta or {}).items()]
-    for op in ops:
-        lines.append(f"{_KIND_TO_CHAR[op.kind]} {op.key}")
+    for kind, key in ops:
+        lines.append(f"{_KIND_TO_CHAR[kind]} {key}")
     return "\n".join(lines) + "\n"
 
 
@@ -385,5 +365,5 @@ def parse_trace(text: str) -> tuple[list[OpRecord], dict[str, str]]:
             raise TraceParseError(line_no, f"key is not an integer: {parts[1]!r}") from None
         if not KEY_MIN <= key <= KEY_MAX:
             raise TraceParseError(line_no, f"key {key} is outside the signed 64-bit range")
-        ops.append(OpRecord(kind, key))
+        ops.append((kind, key))
     return ops, meta

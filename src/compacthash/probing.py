@@ -5,10 +5,9 @@ threads and tables. A key's home slot is key % capacity, computed inline
 by every probe loop; Python's % is total over the signed 64-bit range.
 
 :class:`OpenAddressTable` is everything CompactTable and TombstoneTable
-have in common: the key array and live count, the accessors, growing
-and rebuilding by rehash, and public insert/contains/remove wrappers
-over the counted operations that each table writes out whole; a table
-may override the wrappers, as TombstoneTable does.
+have in common: the key array and live count, the accessors, and growing
+and rebuilding by rehash. Each table writes its counted insert, contains
+and remove out whole, and its plain ops too where they can skip work.
 """
 
 from array import array
@@ -71,22 +70,26 @@ class OpenAddressTable:
     Keys are signed 64-bit integers. At least one slot is always kept
     empty so that every probe loop terminates. A subclass takes params as
     its only constructor argument (rehash builds type(self)(params)) and
-    supplies:
+    supplies both the plain ops and their counted twins:
 
-    - insert_counted(key) -> (added, slots examined), and _insert, the
-      plain insert or insert_counted, whichever the other wraps, which
-      rehash calls, as no wrapper patches it. It raises KeyOutOfRangeError
-      for a key outside [KEY_MIN, KEY_MAX]; then, if growth is on and the
-      next insert would push the growth count over GROWTH_LOAD_FACTOR,
-      calls index(key) and _grow(); then probes, raising TableFullError
-      rather than take the last empty slot. A raise changes nothing;
-    - contains_counted(key) -> (found, slots examined);
-    - remove_counted(key) -> a tuple whose first item is "removed";
+    - insert(key) -> added, and insert_counted(key) -> (added, slots
+      examined). Each raises KeyOutOfRangeError for a key outside
+      [KEY_MIN, KEY_MAX]; then, if growth is on and the next insert would
+      push the growth count over GROWTH_LOAD_FACTOR, calls index(key) and
+      _grow(), even for a key already present; then probes, raising
+      TableFullError rather than take the last empty slot. A raise
+      changes nothing. _insert is the plain insert or insert_counted,
+      whichever the other calls, under a name that rehash calls and no
+      wrapper patches;
+    - contains(key) -> found, bound to __contains__ too, and
+      contains_counted(key) -> (found, slots examined);
+    - remove(key) -> removed, and remove_counted(key) -> a tuple whose
+      first item is "removed";
     - keys(), yielding the stored keys in ascending slot order.
 
-    A subclass may override the plain insert, contains and remove (and
-    rebind __contains__); each must give its counted twin's answer, raise
-    its errors and leave the same table.
+    Each plain op gives its counted twin's answer, raises its errors and
+    leaves the same table. A twin never calls a public plain op, which a
+    tracer may replace with a call of the twin.
 
     Instances are single-writer: no call is safe concurrently with a
     mutation on the same instance, but distinct instances are independent
@@ -115,19 +118,6 @@ class OpenAddressTable:
 
     def __len__(self) -> int:
         return self._live
-
-    def insert(self, key: int) -> bool:
-        """Add key; False if it was already present."""
-        return self.insert_counted(key)[0]
-
-    def contains(self, key: int) -> bool:
-        return self.contains_counted(key)[0]
-
-    __contains__ = contains
-
-    def remove(self, key: int) -> bool:
-        """Delete key; False if it was absent."""
-        return self.remove_counted(key)[0]
 
     def _grow(self) -> None:
         # step % new_cap probes the same sequence as step; it differs from

@@ -15,20 +15,22 @@ TABLE_METHOD = {ADD: "insert", CONTAINS: "contains", REMOVE: "remove"}
 
 def table_result(table, op):
     """The table's answer to op, or "TableFull" if the table refused it."""
+    kind, key = op
     try:
-        return getattr(table, TABLE_METHOD[op.kind])(op.key)
+        return getattr(table, TABLE_METHOD[kind])(key)
     except TableFullError:
         return "TableFull"
 
 
 def oracle_result(model: set, op) -> bool:
     """The set's answer to op, applying it: an add counts as new even when a table is full."""
-    present = op.key in model
-    if op.kind == ADD:
-        model.add(op.key)
+    kind, key = op
+    present = key in model
+    if kind == ADD:
+        model.add(key)
         return not present
-    if op.kind == REMOVE:
-        model.discard(op.key)
+    if kind == REMOVE:
+        model.discard(key)
     return present
 
 

@@ -5,10 +5,11 @@ one Python call per draw. generate_workload draws each base op's kind
 and key from that stream in turn and tracks the live keys as it goes.
 tests/test_harness.py requires the package's SplitMix64 and
 generate_workload to produce exactly what these do. Both are copied
-unchanged from the earlier compacthash.harness.
+from the earlier compacthash.harness, unchanged but for the records,
+which are plain (kind, key) tuples as the package's are now.
 """
 
-from compacthash import ADD, CONTAINS, REMOVE, EmptyKeyUniverseError, OpRecord, WorkloadSpec
+from compacthash import ADD, CONTAINS, REMOVE, EmptyKeyUniverseError, WorkloadSpec
 from compacthash.harness import LiveKeys
 
 _MASK64 = (1 << 64) - 1
@@ -30,7 +31,7 @@ class ScalarSplitMix64:
         return z ^ (z >> 31)
 
 
-def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
+def generate_workload(spec: WorkloadSpec) -> list[tuple[str, int]]:
     lo, hi = spec.key_universe
     if hi <= lo:
         raise EmptyKeyUniverseError(f"key universe [{lo}, {hi}) is empty")
@@ -49,7 +50,7 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
 
     rng = ScalarSplitMix64(spec.seed)
     next_u64 = rng.next_u64
-    ops: list[OpRecord] = []
+    ops: list[tuple[str, int]] = []
     live = LiveKeys()
     live_list, live_index = live.keys, live.index
     track_add, track_remove = live.add, live.discard
@@ -58,12 +59,12 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
         u = next_u64()
         key = lo + next_u64() % span
         if u < t_add:
-            ops.append(OpRecord(ADD, key))
+            ops.append((ADD, key))
             track_add(key)
         elif u < t_contains:
-            ops.append(OpRecord(CONTAINS, key))
+            ops.append((CONTAINS, key))
         else:
-            ops.append(OpRecord(REMOVE, key))
+            ops.append((REMOVE, key))
             track_remove(key)
 
     for _ in range(spec.churn_rounds):
@@ -72,7 +73,7 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
                 key = live_list[next_u64() % len(live_list)]
             else:
                 key = lo + next_u64() % span
-            ops.append(OpRecord(REMOVE, key))
+            ops.append((REMOVE, key))
             track_remove(key)
         for _ in range(spec.churn_batch):
             for _ in range(4096):
@@ -82,6 +83,6 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
             else:
                 raise EmptyKeyUniverseError(
                     f"could not draw a fresh key from [{lo}, {hi}) with {len(live_list)} keys live")
-            ops.append(OpRecord(ADD, key))
+            ops.append((ADD, key))
             track_add(key)
     return ops

@@ -9,7 +9,7 @@ their seeds over up to 4 worker processes, one per usable CPU. On a
 import json
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import pytest
 
@@ -46,24 +46,21 @@ def map_seeds(job, seeds: range) -> list:
 
     The pool has min(usable CPUs, 4, len(seeds)) spawned workers; with one,
     the jobs run serially in this process. Results come back in seed order.
-    A job that raises makes this raise RuntimeError naming its seed, and
-    the jobs not yet started are cancelled.
+    A job that raises makes this raise RuntimeError naming its seed. However
+    this returns or raises (the test deadline included), the pool's workers
+    are terminated, running jobs and all.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, 4, len(seeds))
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) if workers > 1 else None
-    try:
-        futures = [pool.submit(job, seed) for seed in seeds] if pool else None
+    with multiprocessing.get_context("spawn").Pool(workers) if workers > 1 else nullcontext() as pool:
+        outcomes = pool.imap(job, seeds) if pool else map(job, seeds)
         results = []
-        for i, seed in enumerate(seeds):
+        for seed in seeds:
             try:
-                results.append(futures[i].result() if pool else job(seed))
+                results.append(next(outcomes))
             except Exception as exc:
                 raise RuntimeError(f"{job.__name__} raised at seed {seed}: {exc!r}") from exc
         return results
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
 
 
 def differential_seed(seed: int) -> dict:
@@ -292,23 +289,23 @@ def _desk_compact_churn_ok(params: TableParams, seeds: int, op_count: int) -> bo
         ops = generate_workload(WorkloadSpec(seed, op_count, (0, 30)))
         table = CompactTable(params)
         model = set()
-        for op in ops:
-            if op.kind == "add":
+        for kind, key in ops:
+            if kind == "add":
                 try:
-                    result = table.insert(op.key)
+                    result = table.insert(key)
                 except TableFullError:
-                    if len(model) != cap or op.key in model:
+                    if len(model) != cap or key in model:
                         return False
                     continue
-                expected = op.key not in model
-                model.add(op.key)
-            elif op.kind == "contains":
-                result = table.contains(op.key)
-                expected = op.key in model
+                expected = key not in model
+                model.add(key)
+            elif kind == "contains":
+                result = table.contains(key)
+                expected = key in model
             else:
-                result = table.remove(op.key)
-                expected = op.key in model
-                model.discard(op.key)
+                result = table.remove(key)
+                expected = key in model
+                model.discard(key)
             if result is not expected or not check_invariants(table).passed:
                 return False
         if sorted(table.keys()) != sorted(model):

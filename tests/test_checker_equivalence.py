@@ -205,11 +205,11 @@ WORKLOAD_SHAPES = {f"{kind.__name__}-step{step}-{op_count}ops": (kind, step, op_
 @functools.cache
 def _campaign_table(kind, step, op_count):
     t = kind(TableParams(WM, step))
-    for op in generate_workload(WorkloadSpec(0, 10_000, (0, 2 * WM), (0.45, 0.35, 0.20)))[:op_count]:
-        if op.kind == ADD:
-            t.insert(op.key)
-        elif op.kind == REMOVE:
-            t.remove(op.key)
+    for kind, key in generate_workload(WorkloadSpec(0, 10_000, (0, 2 * WM), (0.45, 0.35, 0.20)))[:op_count]:
+        if kind == ADD:
+            t.insert(key)
+        elif kind == REMOVE:
+            t.remove(key)
     return t
 
 

@@ -5,6 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from compacthash import (CapacityTooSmallError, CompactTable, TableFullError,
                          TableParams, check_invariants, probe_stats)
+from compacthash.probing import KEY_MAX, KEY_MIN
+from twin_ops import outcome, twin_cases
 
 
 def build(capacity, step=1, keys=(), **kw):
@@ -418,3 +420,49 @@ def test_replay_identity_catches_a_valid_but_noncanonical_compress(monkeypatch):
     assert occupied(t) == [(0, 14, 1), (1, 7, 2)]
     assert check_invariants(t).passed
     assert replay_mismatch(TableParams(7, 1), [("a", 0), ("a", 7), ("a", 14), ("r", 0)]) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(twin_cases())
+@example((TableParams(3, 1), [("insert", 1), ("in", 1.0), ("remove", 1.0), ("insert", 1.0), ("contains", 4),
+                              ("insert", 4), ("insert", 7), ("remove", 1), ("insert", 7), ("insert", KEY_MAX + 1)]))
+@example((TableParams(1, 5, growth_enabled=True), [("insert", 3), ("insert", 4), ("remove", 3), ("insert", 5),
+                                                   ("insert", KEY_MIN), ("contains", KEY_MAX)]))
+@example((TableParams(10, 1, growth_enabled=True), [("insert", k) for k in range(7)] + [("insert", 3), ("in", 3)]))
+def test_plain_ops_match_their_counted_twins(case):
+    # one table takes the plain ops, the other their counted twins: equal
+    # answers of equal types, equal exceptions and equal tables after every
+    # op, and a key the twin adds sits in its slot with the count returned
+    params, ops = case
+    plain, counted = CompactTable(params), CompactTable(params)
+    for op, key in ops:
+        twin = getattr(counted, ("contains" if op == "in" else op) + "_counted")
+        got = outcome(twin, key)
+        answer = got[0] if type(got[0]) is bool else got
+        plain_answer = outcome(plain.__contains__ if op == "in" else getattr(plain, op), key)
+        assert (type(plain_answer), plain_answer) == (type(answer), answer)
+        if op == "insert" and answer is True:
+            assert (key, got[1]) in slots(counted)
+        assert plain.state_bytes() == counted.state_bytes()
+        assert len(plain) == len(counted)
+        assert plain.capacity == counted.capacity
+
+
+def test_twins_survive_public_ops_that_call_them(monkeypatch):
+    # a tracer may replace each public op with a call of its counted twin;
+    # the twins, and the rebuild of a growing insert, must still reach the
+    # plain bodies
+    for op in ("insert", "contains", "remove"):
+        twin = getattr(CompactTable, op + "_counted")
+        monkeypatch.setattr(CompactTable, op, lambda self, key, twin=twin: twin(self, key)[0])
+    t = CompactTable(TableParams(7, 3, growth_enabled=True))
+    assert t.insert(0) and t.insert(7) and t.contains(7) and 7 in t
+    assert t.insert_counted(14) == (True, 3)
+    assert t.remove_counted(0) == (True, 1, 3, 2)  # 7 and 14 each move back one slot on the path
+    assert t.contains_counted(14) == (True, 2)
+    assert t.insert(1) and t.insert(2)
+    assert t.insert_counted(8) == (True, 1) and t.capacity == 14  # the fifth key grows the table
+    assert sorted(t.keys()) == [1, 2, 7, 8, 14]
+    assert t.remove(8) and not t.contains(8) and not t.insert(7)
+    assert t.remove_counted(8) == (False, 1, 0, 0)
+    assert check_invariants(t).passed

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import scalar_splitmix
 from reference_differential import reference_differential
 from compacthash import (ADD, CONTAINS, REMOVE, CompactTable, Divergence, EmptyKeyUniverseError,
-                         InvariantFailure, OpRecord, SplitMix64, TableParams, TombstoneTable,
+                         InvariantFailure, SplitMix64, TableParams, TombstoneTable,
                          TraceParseError, Verdict, ViolationReport, WorkloadSpec, format_trace,
                          generate_workload, parse_trace, run_differential)
 from compacthash.harness import LiveKeys
@@ -32,7 +32,7 @@ def generated(spec: WorkloadSpec):
         ops = generate_workload(spec)
     except EmptyKeyUniverseError as e:
         return str(e)
-    assert all(type(op) is OpRecord for op in ops)
+    assert all(type(op) is tuple and len(op) == 2 for op in ops)
     return ops
 
 
@@ -77,12 +77,12 @@ def test_largest_draw_is_below_a_threshold_of_2_64_and_keeps_its_full_offset():
     assert scalar_draws(seed, 1) == [top]
     spec = WorkloadSpec(seed, 3, (0, 10), mix=(1, 0, 0))
     assert generated(spec) == scalar_generated(spec)
-    assert generated(spec)[0].kind == ADD
+    assert generated(spec)[0][0] == ADD
 
     seed = seed_with_draw(top, 1)  # op 0's key draw
     spec = WorkloadSpec(seed, 3, (-(2**63), 2**63))
     assert generated(spec) == scalar_generated(spec)
-    assert generated(spec)[0].key == 2**63 - 1
+    assert generated(spec)[0][1] == 2**63 - 1
 
 
 REFERENCE_SPECS = {
@@ -138,11 +138,11 @@ class TestGenerateWorkload:
     def test_pure_add_mix(self):
         ops = generate_workload(WorkloadSpec(seed=3, op_count=10, key_universe=(0, 100), mix=(1, 0, 0)))
         assert len(ops) == 10
-        assert all(op.kind == ADD for op in ops)
+        assert all(kind == ADD for kind, _ in ops)
 
     def test_keys_stay_in_universe(self):
         ops = generate_workload(WorkloadSpec(seed=4, op_count=300, key_universe=(-20, -3)))
-        assert all(-20 <= op.key < -3 for op in ops)
+        assert all(-20 <= key < -3 for _, key in ops)
 
     def test_empty_universe(self):
         with pytest.raises(EmptyKeyUniverseError):
@@ -161,23 +161,23 @@ class TestGenerateWorkload:
         assert len(ops) == 40 + 2 * 12
         for r in range(2):
             base = 40 + r * 12
-            assert [op.kind for op in ops[base:base + 6]] == [REMOVE] * 6
-            assert [op.kind for op in ops[base + 6:base + 12]] == [ADD] * 6
+            assert [kind for kind, _ in ops[base:base + 6]] == [REMOVE] * 6
+            assert [kind for kind, _ in ops[base + 6:base + 12]] == [ADD] * 6
 
     def test_churn_removes_hit_live_keys_and_adds_are_fresh(self):
         spec = WorkloadSpec(seed=6, op_count=60, key_universe=(0, 500),
                             mix=(1, 0, 0), churn_rounds=4, churn_batch=8)
         live = set()
-        for i, op in enumerate(generate_workload(spec)):
-            if op.kind == ADD:
-                hit = op.key not in live
-                live.add(op.key)
+        for i, (kind, key) in enumerate(generate_workload(spec)):
+            if kind == ADD:
+                hit = key not in live
+                live.add(key)
             else:
-                assert op.kind == REMOVE  # the mix draws no lookups
-                hit = op.key in live
-                live.discard(op.key)
+                assert kind == REMOVE  # the mix draws no lookups
+                hit = key in live
+                live.discard(key)
             if i >= 60:
-                assert hit, f"churn op {i} missed: {op}"
+                assert hit, f"churn op {i} missed: {(kind, key)}"
 
 
 MIX = (0.45, 0.35, 0.20)
@@ -260,8 +260,14 @@ def collector_enabled():
     (gc.enable if was_enabled else gc.disable)()
 
 
-class TestCollectorPause:
-    def test_no_collection_starts_while_building(self, collector_enabled):
+class TestCollectorLeftAlone:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_records_are_exact_tuples_that_a_collection_untracks(self, collector_enabled, enabled):
+        # an exact tuple of a str and an int leaves the collector's lists at
+        # its first collection, so the build needs no pause: an enabled
+        # collector runs during it, a disabled one stays off
+        if not enabled:
+            gc.disable()
         started = []
 
         def hook(phase, info):
@@ -273,15 +279,13 @@ class TestCollectorPause:
             ops = generate_workload(LARGE_CHURN_SPEC)
         finally:
             gc.callbacks.remove(hook)
-        assert len(ops) == 50_000 + 20 * 2 * 500
-        assert started == []
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    def test_callers_collector_state_comes_back(self, collector_enabled, enabled):
-        if not enabled:
-            gc.disable()
-        generate_workload(WorkloadSpec(0, 100, (0, 64), MIX, churn_rounds=2, churn_batch=5))
         assert gc.isenabled() is enabled
+        assert bool(started) is enabled
+        assert len(ops) == 50_000 + 20 * 2 * 500
+        assert all(type(op) is tuple and len(op) == 2 and type(op[0]) is str and type(op[1]) is int
+                   for op in ops)
+        gc.collect()
+        assert not any(map(gc.is_tracked, ops))
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     def test_callers_collector_state_comes_back_after_a_raise(self, collector_enabled, enabled):
@@ -294,12 +298,11 @@ class TestCollectorPause:
 
 # at TableParams(4, 1) the last add fills the compact table to its cap
 # while the tombstone table, one FREE slot short, refuses it
-ONE_SIDED_TABLE_FULL = [OpRecord(ADD, 0), OpRecord(ADD, 1), OpRecord(REMOVE, 0), OpRecord(ADD, 2),
-                        OpRecord(ADD, 3)]
+ONE_SIDED_TABLE_FULL = [(ADD, 0), (ADD, 1), (REMOVE, 0), (ADD, 2), (ADD, 3)]
 
 
 def test_verdict_passed_is_derived_from_its_findings():
-    divergence = Divergence(0, OpRecord(ADD, 1), "TableFull", True, True)
+    divergence = Divergence(0, (ADD, 1), "TableFull", True, True)
     failure = InvariantFailure(0, "compact", ViolationReport())
     assert Verdict().passed
     assert not Verdict(divergence).passed
@@ -318,7 +321,7 @@ class TestRunDifferential:
         assert verdict.invariant_failures == []
 
     def test_contains_only_workload(self):
-        ops = [OpRecord(CONTAINS, k) for k in range(20)]
+        ops = [(CONTAINS, k) for k in range(20)]
         verdict = run_differential(ops, TableParams(31, 1))
         assert verdict.passed
         assert verdict.invariant_failures == []
@@ -326,13 +329,13 @@ class TestRunDifferential:
     def test_disabled_compression_is_caught(self, monkeypatch):
         # a remove that skips compaction breaks the probe chain through its slot
         monkeypatch.setattr(CompactTable, "_compress", lambda self, free: (0, 0))
-        ops = [OpRecord(ADD, 7), OpRecord(ADD, 14), OpRecord(REMOVE, 7), OpRecord(CONTAINS, 14)]
+        ops = [(ADD, 7), (ADD, 14), (REMOVE, 7), (CONTAINS, 14)]
         verdict = run_differential(ops, TableParams(7, 1), check_every=1)
         assert not verdict.passed
         # the displaced key is invisible to the compact table
         d = verdict.first_divergence
         assert d is not None
-        assert d.op_index == 3 and d.op == OpRecord(CONTAINS, 14)
+        assert d.op_index == 3 and d.op == (CONTAINS, 14)
         assert d.compact_result is False
         assert d.tombstone_result is True and d.oracle_result is True
         # and the structural gap was already flagged right after the remove
@@ -350,7 +353,7 @@ class TestRunDifferential:
             return result
 
         monkeypatch.setattr(TombstoneTable, "remove", miscounting_remove)
-        ops = [OpRecord(ADD, 7), OpRecord(ADD, 14), OpRecord(REMOVE, 7), OpRecord(CONTAINS, 14)]
+        ops = [(ADD, 7), (ADD, 14), (REMOVE, 7), (CONTAINS, 14)]
         verdict = run_differential(ops, TableParams(7, 1), check_every=1)
         assert not verdict.passed
         assert verdict.first_divergence is None
@@ -358,7 +361,7 @@ class TestRunDifferential:
             (2, "tombstone"), (3, "tombstone")]
 
     def test_table_full_is_a_divergence_not_a_crash(self):
-        ops = [OpRecord(ADD, 0), OpRecord(ADD, 1), OpRecord(ADD, 2)]
+        ops = [(ADD, 0), (ADD, 1), (ADD, 2)]
         verdict = run_differential(ops, TableParams(3, 1))
         assert not verdict.passed
         d = verdict.first_divergence
@@ -372,7 +375,7 @@ class TestRunDifferential:
         # table's FREE-slot budget; the compact table freed its slot
         verdict = run_differential(ONE_SIDED_TABLE_FULL, TableParams(4, 1))
         d = verdict.first_divergence
-        assert d.op_index == 4 and d.op == OpRecord(ADD, 3)
+        assert d.op_index == 4 and d.op == (ADD, 3)
         assert d.compact_result is True
         assert d.tombstone_result == "TableFull"
         assert d.oracle_result is True
@@ -386,7 +389,7 @@ class TestRunDifferential:
 
     def test_verdict_json_shape(self, monkeypatch):
         monkeypatch.setattr(CompactTable, "_compress", lambda self, free: (0, 0))
-        ops = [OpRecord(ADD, 7), OpRecord(ADD, 14), OpRecord(REMOVE, 7), OpRecord(CONTAINS, 14)]
+        ops = [(ADD, 7), (ADD, 14), (REMOVE, 7), (CONTAINS, 14)]
         verdict = run_differential(ops, TableParams(7, 1))
         payload = json.loads(json.dumps(verdict.to_json_dict()))
         assert payload["passed"] is False
@@ -394,8 +397,10 @@ class TestRunDifferential:
         assert payload["invariant_failures"][0]["report"]["violations"]
 
     def test_rejects_bad_check_every(self):
-        with pytest.raises(ValueError):
-            run_differential([], TableParams(7, 1), check_every=0)
+        # a float would never reach the countdown's 0, and so never check
+        for check_every in (0, -1, 1.5, 2.0, "3", None, True):
+            with pytest.raises(ValueError, match="check_every must be an int >= 1"):
+                run_differential([(ADD, 1)], TableParams(7, 1), check_every=check_every)
 
 
 @st.composite
@@ -413,11 +418,11 @@ def differential_cases(draw):
     params = TableParams(capacity, draw(st.sampled_from(steps)), draw(st.booleans()))
     if draw(st.booleans()):
         keys = st.sampled_from([home + lap * capacity for lap in range(-2, 3) for home in range(3)])
-        ops = draw(st.lists(st.builds(OpRecord, st.sampled_from([ADD, REMOVE, CONTAINS]), keys),
+        ops = draw(st.lists(st.tuples(st.sampled_from([ADD, REMOVE, CONTAINS]), keys),
                             min_size=8, max_size=4 * capacity + 8))
     else:
         keys = st.integers(-2 * capacity - 2, 2 * capacity + 2)
-        ops = [OpRecord(ADD, key) for key in draw(st.lists(keys, min_size=capacity, unique=True))]
+        ops = [(ADD, key) for key in draw(st.lists(keys, min_size=capacity, unique=True))]
     return ops, params, draw(st.integers(1, 5))
 
 
@@ -428,9 +433,9 @@ def disabled_compress(self, free):
 @pytest.mark.parametrize("compress", ["on", "off"])
 @settings(max_examples=300, deadline=None)
 @given(case=differential_cases())
-@example(case=([OpRecord(ADD, 7), OpRecord(ADD, 14), OpRecord(REMOVE, 7), OpRecord(CONTAINS, 14)],
+@example(case=([(ADD, 7), (ADD, 14), (REMOVE, 7), (CONTAINS, 14)],
                TableParams(7, 1), 1))
-@example(case=([OpRecord(ADD, 0), OpRecord(ADD, 1), OpRecord(ADD, 2)], TableParams(3, 1), 2))
+@example(case=([(ADD, 0), (ADD, 1), (ADD, 2)], TableParams(3, 1), 2))
 @example(case=(ONE_SIDED_TABLE_FULL, TableParams(4, 1), 1))
 def test_run_differential_matches_reference_loop(compress, case):
     ops, params, check_every = case
@@ -444,7 +449,7 @@ def test_run_differential_matches_reference_loop(compress, case):
 
 class TestTraceFormat:
     def test_roundtrip(self):
-        ops = [OpRecord(ADD, 7), OpRecord(CONTAINS, -3), OpRecord(REMOVE, 7)]
+        ops = [(ADD, 7), (CONTAINS, -3), (REMOVE, 7)]
         meta = {"capacity": 7, "step": 1, "seed": 42, "generator": "splitmix64"}
         text = format_trace(ops, meta)
         parsed_ops, parsed_meta = parse_trace(text)
@@ -452,12 +457,12 @@ class TestTraceFormat:
         assert parsed_meta == {"capacity": "7", "step": "1", "seed": "42", "generator": "splitmix64"}
 
     def test_format_is_line_oriented(self):
-        text = format_trace([OpRecord(ADD, 7), OpRecord(REMOVE, 7)], {"capacity": 7})
+        text = format_trace([(ADD, 7), (REMOVE, 7)], {"capacity": 7})
         assert text == "# capacity=7\na 7\nr 7\n"
 
     def test_blank_lines_ignored(self):
         ops, _ = parse_trace("\na 5\n\nc 5\n")
-        assert ops == [OpRecord(ADD, 5), OpRecord(CONTAINS, 5)]
+        assert ops == [(ADD, 5), (CONTAINS, 5)]
 
     def test_unknown_op_reports_line_number(self):
         with pytest.raises(TraceParseError, match="line 1"):
@@ -482,7 +487,6 @@ class TestTraceFormat:
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from([ADD, CONTAINS, REMOVE]),
                           st.integers(-(2**63), 2**63 - 1)), max_size=40))
-def test_trace_roundtrip_property(pairs):
-    ops = [OpRecord(k, key) for k, key in pairs]
+def test_trace_roundtrip_property(ops):
     parsed, _ = parse_trace(format_trace(ops))
     assert parsed == ops

@@ -177,6 +177,22 @@ def test_non_int_key_equal_to_a_live_key_raises(cls):
     assert table.contains(1) and table.remove(1)  # and the int key is still found
 
 
+@pytest.mark.parametrize("cls", [CompactTable, TombstoneTable])
+@pytest.mark.parametrize("counted", [False, True], ids=["insert", "insert_counted"])
+def test_inserting_a_present_key_at_the_threshold_grows_the_table(cls, counted):
+    # growth comes before membership: 7 keys fill 10 slots to the threshold,
+    # so an eighth insert grows the table, even one whose key is present
+    table = cls(TableParams(10, 1, growth_enabled=True))
+    for key in range(7):
+        assert table.insert(key)
+    assert table.capacity == 10
+    added = table.insert_counted(3)[0] if counted else table.insert(3)
+    assert added is False
+    assert table.capacity == 20
+    assert sorted(table.keys()) == list(range(7))
+    assert check_invariants(table).passed
+
+
 def _grown_and_rebuilt(cls):
     """Capacity and bytes after a growing insert, and the bytes of a rehash, placed through _insert."""
     table = cls(TableParams(8, 3, growth_enabled=True))

@@ -1,12 +1,12 @@
 import random
-from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from compacthash import (BUSY, DELETED, FREE, CapacityTooSmallError, KeyOutOfRangeError, TableFullError,
+from compacthash import (BUSY, DELETED, FREE, CapacityTooSmallError, TableFullError,
                          TableParams, TombstoneTable, check_invariants)
 from compacthash.probing import KEY_MAX, KEY_MIN
+from twin_ops import outcome, twin_cases
 
 
 def build(capacity, step=1, keys=(), **kw):
@@ -357,27 +357,6 @@ def test_insert_counts_across_growth():
     assert growths >= 3 and reuses > 0
 
 
-@st.composite
-def twin_cases(draw):
-    """Any accepted TableParams at capacities 1-23 (every coprime step, any
-    step at capacity 1, growth on and off) and ops on keys whose homes
-    collide, the ends of the key range, a key past it, 1 and 1.0."""
-    capacity = draw(st.integers(1, 23))
-    steps = [s for s in range(1, capacity) if gcd(s, capacity) == 1]
-    step = draw(st.sampled_from(steps) if steps else st.integers(1, 64))
-    params = TableParams(capacity, step, draw(st.booleans()))
-    keys = st.integers(-3 * capacity - 3, 3 * capacity + 3) | st.sampled_from([KEY_MIN, KEY_MAX, KEY_MAX + 1, 1, 1.0])
-    return params, draw(st.lists(st.tuples(st.sampled_from(["insert", "contains", "in", "remove"]), keys),
-                                 max_size=60))
-
-
-def _outcome(call, key):
-    try:
-        return call(key)
-    except (TypeError, KeyOutOfRangeError, TableFullError) as e:
-        return type(e), str(e)
-
-
 @settings(max_examples=300, deadline=None)
 @given(twin_cases())
 @example((TableParams(3, 1), [("insert", 1), ("in", 1.0), ("remove", 1.0), ("insert", 1.0), ("contains", 4),
@@ -396,9 +375,9 @@ def test_plain_ops_match_their_counted_twins(case):
         expected_n = classical_insert_count(counted, key) if type(key) is int else None
         capacity = counted.capacity
         twin = getattr(counted, ("contains" if op == "in" else op) + "_counted")
-        got = _outcome(twin, key)
+        got = outcome(twin, key)
         answer = got[0] if type(got[0]) is bool else got
-        plain_answer = _outcome(plain.__contains__ if op == "in" else getattr(plain, op), key)
+        plain_answer = outcome(plain.__contains__ if op == "in" else getattr(plain, op), key)
         assert (type(plain_answer), plain_answer) == (type(answer), answer)
         if type(got[0]) is bool:
             if counted.capacity != capacity:  # the insert grew the table, so it walked the rebuilt one
