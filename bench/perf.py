@@ -1,6 +1,6 @@
 """Wall time of every layer, paired in-process against a parent package.
 
-    PYTHONPATH=src python bench/perf.py --label change --out BENCH_21.json --parent-src ../parent/src
+    PYTHONPATH=src python bench/perf.py --label change --out BENCH_22.json --parent-src ../parent/src
 
 imports the compacthash package under DIR as compacthash_parent (every
 import inside the package is relative) and times this checkout's package,
@@ -47,13 +47,16 @@ The points, all on 65,536-slot tables built from seeded keys:
   so the live count stays put; and the same four through the plain
   contains, remove and insert (each name suffixed _plain).
 - construction of an empty table of each kind.
-- churn: `compacthash bench --rounds 4` through each version's cli.main
-  in CHURN_PAIRS pairs whose order alternates, with equal bench.csv bytes
-  required. A probe_stats hook marks where each version's rows are built,
-  so churn/rounds is the time of the four churn rounds alone, without the
-  probe_stats calls between them, and churn/prefill the time from the
-  start of the bench to the first row: the output directory, argument
-  parsing, table construction and the prefill to the live target.
+- live_keys/churn-phase: one churn round's key bookkeeping, as
+  `compacthash bench` does it: a call picks PHASE_KEYS of LIVE_KEYS
+  full-range live keys, then adds PHASE_KEYS fresh ones, with equal key
+  lists required of the two versions before and after the pairs.
+- churn: a default `compacthash bench --rounds 0` (churn/bench-rounds0:
+  the output directory, argument parsing, table construction, the
+  prefill to the live target and two probe_stats calls) and
+  `--rounds 4` (churn/bench-rounds4: that and four churn rounds, each
+  closed by two probe_stats calls) through each version's cli.main, with
+  equal bench.csv bytes required.
 """
 
 import argparse
@@ -85,8 +88,9 @@ BENCH_ROUNDS = 25  # churn rounds replayed for the bench-churned point
 LOOKUP_KEYS = 256  # keys per lookup call, and pairs per remove_insert_pair call
 PAIRS = 101  # alternating pairs per paired figure
 PAIR_S = 0.005  # seconds of calls on each side of a pair, roughly
-CHURN_ROUNDS = 4  # rounds of each churn-point bench
-CHURN_PAIRS = 30  # alternating pairs of the churn points
+CHURN_ROUNDS = (0, 4)  # rounds of the churn-point benches
+LIVE_KEYS = 32_768  # live keys of the live_keys/churn-phase point, as in a default bench
+PHASE_KEYS = 16_384  # keys each phase of a live_keys/churn-phase call picks and adds
 FUZZ_SEEDS = range(8)  # seeds of the fuzz-checked loop
 FUZZ_PREFIX = 200  # ops per fuzz-checked seed
 TABLES = (("CompactTable", "compact"), ("TombstoneTable", "tombstone"))
@@ -369,37 +373,37 @@ def table_rows(parent):
         yield point, {"construct": paired(*runs)}
 
 
-def _churn_run(pkg) -> tuple[bytes, float, float]:
-    """bench.csv bytes, prefill seconds and round seconds of one bench of pkg."""
-    marks = []  # perf_counter on entering and on leaving each probe_stats call
+def _churn_phase(pkg):
+    """pkg's LiveKeys of LIVE_KEYS full-range keys, and a call that runs one round's phases on it."""
+    live, next_u64 = pkg.harness.LiveKeys(), pkg.SplitMix64(0).next_u64
+    live.add_fresh(next_u64, -(1 << 63), 1 << 64, LIVE_KEYS)
 
-    def marked(inner, table):
-        marks.append(time.perf_counter())
-        stats = inner(table)
-        marks.append(time.perf_counter())
-        return stats
+    def call():
+        live.pick(next_u64, PHASE_KEYS)
+        live.add_fresh(next_u64, -(1 << 63), 1 << 64, PHASE_KEYS)
 
-    t0 = time.perf_counter()
-    csv = _bench(pkg, CHURN_ROUNDS, marked)
-    # four marks per round's rows, so round r runs from the end of round
-    # r - 1's rows, mark 4r - 1, to the start of its own, mark 4r
-    rounds = sum(marks[4 * r] - marks[4 * r - 1] for r in range(1, CHURN_ROUNDS + 1))
-    return csv, marks[0] - t0, rounds
+    return live, call
+
+
+def live_keys_rows(parent):
+    point = "live_keys/churn-phase"
+    (live, call), (parent_live, parent_call) = (_churn_phase(pkg) for pkg in (compacthash, parent))
+    _agree(point, "key lists", live.keys, parent_live.keys)
+    row = paired(call, parent_call)
+    _agree(point, "key lists after the pairs", live.keys, parent_live.keys)
+    yield point, {"keys": LIVE_KEYS, "phase_keys": PHASE_KEYS, "pick_add_fresh": row}
+
+
+def _through(inner, table):
+    return inner(table)
 
 
 def churn_rows(parent):
-    spent = {"churn/prefill": [[], []], "churn/rounds": [[], []]}
-    csv = {_churn_run(compacthash)[0], _churn_run(parent)[0]}
-    for i in range(CHURN_PAIRS):
-        for side in ((1, 0) if i % 2 else (0, 1)):
-            out, prefill, rounds = _churn_run((compacthash, parent)[side])
-            csv.add(out)
-            spent["churn/prefill"][side].append(prefill)
-            spent["churn/rounds"][side].append(rounds)
-    if len(csv) != 1:
-        raise SystemExit("churn: the two versions wrote different bench.csv bytes")
-    for point, sides in spent.items():
-        yield point, {"bench": ratio_row(*sides)}
+    for rounds in CHURN_ROUNDS:
+        point = f"churn/bench-rounds{rounds}"
+        runs = [partial(_bench, pkg, rounds, _through) for pkg in (compacthash, parent)]
+        _agree(point, "bench.csv bytes", runs[0](), runs[1]())
+        yield point, {"bench": paired(*runs)}
 
 
 def main() -> None:
@@ -413,7 +417,7 @@ def main() -> None:
     t0 = time.perf_counter()
     parent = load_package(args.parent_src)
     rows = {}
-    for part in (grid_rows, generation_rows, differential_rows, table_rows, churn_rows):
+    for part in (grid_rows, generation_rows, live_keys_rows, differential_rows, table_rows, churn_rows):
         for point, row in part(parent):
             rows[point] = row
             print(point, row, flush=True)

@@ -6,16 +6,18 @@ counter-based: draw i of the stream seeded with s is a fixed mixing
 function of s + i * gamma mod 2**64. A block of draws is therefore one
 wrapping numpy uint64 expression; the base phase of a workload is
 built 4,096 draws at a time, and SplitMix64 hands out further draws
-from blocks it refills. Identical specs yield identical operation
-sequences forever. An operation is a plain (kind, key) tuple, kind one
-of ADD, CONTAINS and REMOVE; OpRecord names that type. The differential
-runner applies every operation to a compact table, a tombstone table,
-and a plain Python set, comparing all three return values and
-periodically running the structural invariant checker.
+from blocks it refills. Churn rounds pick and draw their keys through
+LiveKeys, a batch per call, each draw at its index in the stream.
+Identical specs yield identical operation sequences forever. An
+operation is a plain (kind, key) tuple, kind one of ADD, CONTAINS and
+REMOVE. The differential runner applies every operation to a compact
+table, a tombstone table, and a plain Python set, comparing all three
+return values and periodically running the structural invariant checker.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat, starmap
+from operator import mod
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -37,6 +39,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _BLOCK = 4096  # draws per SplitMix64 refill and per base-phase step; even
+_MISS_LIMIT = 4096  # draws of live keys after which add_fresh gives up on a key
 _KINDS = np.array([ADD, CONTAINS, REMOVE], dtype=object)
 _KIND_TO_CHAR = {ADD: "a", CONTAINS: "c", REMOVE: "r"}
 _CHAR_TO_KIND = {"a": ADD, "c": CONTAINS, "r": REMOVE}
@@ -93,44 +96,39 @@ class SplitMix64:
 
 
 class LiveKeys:
-    """The currently live keys, for seeded uniform picks and fresh-key draws.
+    """The live keys, for seeded uniform picks and fresh-key draws.
 
-    keys lists them and index maps each to its position in keys. Removal
-    moves the last key into the freed position, so the order of keys, and
-    with it every seeded pick, depends only on the sequence of calls.
-    pick and add_fresh hand out a batch of keys per call; each consumes
-    exactly the draws that the same keys taken one call at a time would,
-    so a caller that draws nothing between the keys of a batch may take
-    them all before it uses any.
+    keys lists them, distinct, in pick order, and members holds them as a
+    set. Removal moves the last key into the freed position, so the order
+    of keys, and with it every pick, depends only on the sequence of calls.
+    pick and add_fresh take a batch's draws through C-level iterators, yet
+    each consumes exactly the draws, at the same stream indices, that the
+    same keys taken one call at a time would, a call that raises included,
+    so a caller that draws nothing between a batch's keys may take them all
+    before it uses any.
     """
 
-    __slots__ = ("keys", "index")
+    __slots__ = ("keys", "members")
 
-    def __init__(self):
-        self.keys: list[int] = []
-        self.index: dict[int, int] = {}
-
-    def add(self, key: int) -> None:
-        if key not in self.index:
-            self.index[key] = len(self.keys)
-            self.keys.append(key)
-
-    def discard(self, key: int) -> None:
-        at = self.index.pop(key, None)
-        if at is not None:
-            last = self.keys.pop()
-            if at < len(self.keys):
-                self.keys[at] = last
-                self.index[last] = at
+    def __init__(self, keys: Iterable[int] = ()):
+        self.keys: list[int] = list(keys)
+        self.members: set[int] = set(self.keys)
 
     def pick(self, next_u64: Callable[[], int], n: int) -> list[int]:
-        """Discard and return n live keys, each the one at next_u64() % len(keys) when its turn comes."""
-        keys, discard = self.keys, self.discard
+        """Remove and return n live keys, each the one at next_u64() % len(keys) when its turn comes.
+
+        Raises ValueError, before it draws, unless 0 <= n <= len(keys).
+        """
+        keys, size = self.keys, len(self.keys)
+        if not 0 <= n <= size:
+            raise ValueError(f"cannot pick {n} of {size} live keys")
         picked = []
-        for _ in range(n):
-            key = keys[next_u64() % len(keys)]
-            discard(key)
-            picked.append(key)
+        take, pop = picked.append, keys.pop
+        for at in map(mod, starmap(next_u64, repeat((), n)), range(size, size - n, -1)):
+            take(keys[at])
+            keys[at] = keys[-1]
+            pop()
+        self.members.difference_update(picked)
         return picked
 
     def add_fresh(self, next_u64: Callable[[], int], lo: int, span: int, n: int) -> list[int]:
@@ -139,18 +137,29 @@ class LiveKeys:
         Raises EmptyKeyUniverseError after 4,096 draws of live keys for one
         key; the keys added before it stay added.
         """
-        keys, index, add = self.keys, self.index, self.add
-        fresh = []
-        for _ in range(n):
-            misses = 0
-            while (key := lo + next_u64() % span) in index:
-                misses += 1
-                if misses == 4096:
-                    raise EmptyKeyUniverseError(
-                        f"could not draw a fresh key from [{lo}, {lo + span}) with {len(keys)} keys live")
-            add(key)
-            fresh.append(key)
-        return fresh
+        keys, members, start = self.keys, self.members, len(self.keys)
+        draws = map(lo.__add__, map(span.__rmod__, starmap(next_u64, repeat(()))))
+        while (added := len(keys) - start) < n:
+            # A batch of distinct candidates, none live, is the next keys.
+            # Otherwise the rest go one at a time, over the batch and then
+            # single draws; a batch holds at most _MISS_LIMIT candidates,
+            # so even a key that raises has examined every one drawn.
+            batch = list(islice(draws, min(n - added, _MISS_LIMIT)))
+            if len(set(batch)) == len(batch) and members.isdisjoint(batch):
+                members.update(batch)
+                keys += batch
+                continue
+            draws = chain(batch, draws)
+            for _ in range(n - added):
+                misses = 0
+                while (key := next(draws)) in members:
+                    misses += 1
+                    if misses == _MISS_LIMIT:
+                        raise EmptyKeyUniverseError(
+                            f"could not draw a fresh key from [{lo}, {lo + span}) with {len(keys)} keys live")
+                members.add(key)
+                keys.append(key)
+        return keys[start:]
 
 
 def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
@@ -198,12 +207,18 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
     if not spec.churn_rounds:
         return ops
 
-    live = LiveKeys()
+    # the live keys in pick order, as LiveKeys keeps them
+    order, position = [], {}
     for kind, key in ops:
-        if kind == ADD:
-            live.add(key)
-        elif kind == REMOVE:
-            live.discard(key)
+        if kind == ADD and key not in position:
+            position[key] = len(order)
+            order.append(key)
+        elif kind == REMOVE and key in position:
+            at, last = position.pop(key), order.pop()
+            if last != key:
+                order[at] = last
+                position[last] = at
+    live = LiveKeys(order)
 
     next_u64 = SplitMix64(spec.seed + 2 * n * int(_GAMMA)).next_u64
     batch = spec.churn_batch

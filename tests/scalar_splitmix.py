@@ -6,11 +6,12 @@ and key from that stream in turn and tracks the live keys as it goes.
 tests/test_harness.py requires the package's SplitMix64 and
 generate_workload to produce exactly what these do. Both are copied
 from the earlier compacthash.harness, unchanged but for the records,
-which are plain (kind, key) tuples as the package's are now.
+which are plain (kind, key) tuples as the package's are now, and the
+live keys, which this module keeps in its own list and key -> position
+dict instead of the package's LiveKeys.
 """
 
 from compacthash import ADD, CONTAINS, REMOVE, EmptyKeyUniverseError, WorkloadSpec
-from compacthash.harness import LiveKeys
 
 _MASK64 = (1 << 64) - 1
 
@@ -51,9 +52,21 @@ def generate_workload(spec: WorkloadSpec) -> list[tuple[str, int]]:
     rng = ScalarSplitMix64(spec.seed)
     next_u64 = rng.next_u64
     ops: list[tuple[str, int]] = []
-    live = LiveKeys()
-    live_list, live_index = live.keys, live.index
-    track_add, track_remove = live.add, live.discard
+    live_list: list[int] = []
+    live_index: dict[int, int] = {}
+
+    def track_add(key):
+        if key not in live_index:
+            live_index[key] = len(live_list)
+            live_list.append(key)
+
+    def track_remove(key):
+        at = live_index.pop(key, None)
+        if at is not None:
+            last = live_list.pop()
+            if at < len(live_list):
+                live_list[at] = last
+                live_index[last] = at
 
     for _ in range(spec.op_count):
         u = next_u64()

@@ -1,4 +1,4 @@
-"""The helpers of bench/perf.py: ratio_row, paired, load_package, _replay, _swap and _bench."""
+"""The helpers of bench/perf.py: ratio_row, paired, load_package, _replay, _swap, _bench and _churn_phase."""
 
 import importlib.util
 import sys
@@ -113,3 +113,14 @@ def test_bench_restores_probe_stats_however_it_ends(perf):
     with pytest.raises(SystemExit, match="bench failed"):
         perf._bench(compacthash, -1, keep)  # a usage error: the bench exits 2
     assert cli.probe_stats is inner
+
+
+def test_churn_phase_calls_keep_the_live_count_and_equal_sides_in_step(perf, monkeypatch):
+    monkeypatch.setattr(perf, "LIVE_KEYS", 64)
+    monkeypatch.setattr(perf, "PHASE_KEYS", 32)
+    (live, call), (other, other_call) = perf._churn_phase(compacthash), perf._churn_phase(compacthash)
+    before = list(live.keys)
+    call()
+    other_call()
+    assert len(live.keys) == 64 and live.keys == other.keys != before
+    assert live.members == set(live.keys)

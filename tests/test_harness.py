@@ -186,30 +186,42 @@ LARGE_CHURN_SPEC = WorkloadSpec(0, 50_000, (0, 131072), MIX, churn_rounds=20, ch
 RAISING_CHURN_SPEC = WorkloadSpec(0, 10, (0, 2), (1, 0, 0), churn_rounds=1, churn_batch=5)
 
 
-def one_key_picks(live: LiveKeys, next_u64, n: int) -> list[int]:
-    """n picks one key at a time: each the key at next_u64() % len(keys), then discarded."""
-    picked = []
-    for _ in range(n):
-        key = live.keys[next_u64() % len(live.keys)]
-        live.discard(key)
-        picked.append(key)
-    return picked
+class OneKeyLiveKeys:
+    """The live keys as a list and a key -> position dict, taken one key and one draw at a time.
 
+    The reference that LiveKeys' batched calls must match: removal moves
+    the last key into the freed position.
+    """
 
-def one_key_fresh(live: LiveKeys, next_u64, lo: int, span: int, n: int) -> list[int]:
-    """n fresh keys one at a time, each giving up after 4,096 draws of live keys."""
-    fresh = []
-    for _ in range(n):
-        for _ in range(4096):
-            key = lo + next_u64() % span
-            if key not in live.index:
-                break
-        else:
-            raise EmptyKeyUniverseError(
-                f"could not draw a fresh key from [{lo}, {lo + span}) with {len(live.keys)} keys live")
-        live.add(key)
-        fresh.append(key)
-    return fresh
+    def __init__(self, keys: list[int]):
+        self.keys = list(keys)
+        self.position = {key: at for at, key in enumerate(self.keys)}
+
+    def pick(self, next_u64, n: int) -> list[int]:
+        picked = []
+        for _ in range(n):
+            key = self.keys[next_u64() % len(self.keys)]
+            at, last = self.position.pop(key), self.keys.pop()
+            if last != key:
+                self.keys[at] = last
+                self.position[last] = at
+            picked.append(key)
+        return picked
+
+    def add_fresh(self, next_u64, lo: int, span: int, n: int) -> list[int]:
+        fresh = []
+        for _ in range(n):
+            for _ in range(4096):
+                key = lo + next_u64() % span
+                if key not in self.position:
+                    break
+            else:
+                raise EmptyKeyUniverseError(
+                    f"could not draw a fresh key from [{lo}, {lo + span}) with {len(self.keys)} keys live")
+            self.position[key] = len(self.keys)
+            self.keys.append(key)
+            fresh.append(key)
+        return fresh
 
 
 def outcome(call, *args):
@@ -223,32 +235,39 @@ def outcome(call, *args):
 @given(seed=st.integers(0, 2**64 - 1), lo=st.integers(-20, 20), span=st.integers(1, 10),
        start=st.lists(st.integers(0, 9), max_size=10),
        calls=st.lists(st.tuples(st.sampled_from(["pick", "add_fresh"]), st.integers(0, 11)), max_size=8))
-# n = 0, every live key picked, then fresh keys until the universe is full
+# n = 0, every live key picked, one more than is live, then fresh keys until the universe is full
 @example(seed=0, lo=0, span=3, start=[0, 2],
-         calls=[("pick", 0), ("add_fresh", 0), ("pick", 2), ("add_fresh", 3), ("add_fresh", 1), ("pick", 3)])
+         calls=[("pick", 0), ("add_fresh", 0), ("pick", 2), ("pick", 1), ("add_fresh", 3), ("add_fresh", 1),
+                ("pick", 3)])
+# candidates 8, 6, 8: a repeat inside one batch, with no key live
+@example(seed=9, lo=0, span=10, start=[], calls=[("add_fresh", 3)])
+# candidates 5, 0, 9: distinct, and 0 is live
+@example(seed=0, lo=0, span=10, start=[0, 1], calls=[("add_fresh", 3)])
+# a call of more than 4,096 keys that raises once the 5 keys are live
+@example(seed=2, lo=-2, span=5, start=[1], calls=[("add_fresh", 5000), ("pick", 5), ("add_fresh", 4097)])
 def test_batched_live_keys_match_one_key_calls(seed, lo, span, start, calls):
-    live, ref = LiveKeys(), LiveKeys()
-    for offset in start:
-        live.add(lo + offset % span)
-        ref.add(lo + offset % span)
+    keys = list(dict.fromkeys(lo + offset % span for offset in start))
+    live, ref = LiveKeys(keys), OneKeyLiveKeys(keys)
     draw, ref_draw = SplitMix64(seed).next_u64, SplitMix64(seed).next_u64
     for kind, n in calls:
         if kind == "pick":
-            n = min(n, len(ref.keys))
-            assert live.pick(draw, n) == one_key_picks(ref, ref_draw, n)
+            if n > len(ref.keys):
+                with pytest.raises(ValueError, match=rf"^cannot pick {n} of {len(ref.keys)} live keys$"):
+                    live.pick(draw, n)
+            else:
+                assert live.pick(draw, n) == ref.pick(ref_draw, n)
         else:
-            assert outcome(live.add_fresh, draw, lo, span, n) == outcome(one_key_fresh, ref, ref_draw, lo, span, n)
-        assert live.keys == ref.keys and live.index == ref.index
-    assert draw() == ref_draw()
+            assert outcome(live.add_fresh, draw, lo, span, n) == outcome(ref.add_fresh, ref_draw, lo, span, n)
+        assert live.keys == ref.keys and live.members == set(ref.position)
+        assert draw() == ref_draw()
 
 
 def test_add_fresh_from_a_full_universe_raises_after_adding_the_keys_before():
-    live = LiveKeys()
-    live.add(5)
+    live = LiveKeys([5])
     draw = SplitMix64(1).next_u64
     with pytest.raises(EmptyKeyUniverseError, match=r"^could not draw a fresh key from \[4, 7\) with 3 keys live$"):
         live.add_fresh(draw, 4, 3, 3)
-    assert sorted(live.keys) == [4, 5, 6]
+    assert sorted(live.keys) == [4, 5, 6] and live.members == {4, 5, 6}
 
 
 @pytest.fixture
