@@ -49,27 +49,6 @@ class CompactTable(OpenAddressTable):
 
     # -- membership ----------------------------------------------------
 
-    # Every op writes its probe walk out, and insert its key and growth
-    # checks too: a shared method would add a Python call, which costs
-    # about as much as a short lookup. The plain contains and remove count
-    # nothing; insert stores its count anyway, so the plain insert is
-    # insert_counted's answer, and run_differential and bench call the twin.
-    def contains(self, key: int) -> bool:
-        m = self._capacity
-        step = self._step
-        pc = self._probe_counts
-        keys = self._keys
-        i = key % m
-        while pc[i]:
-            if keys[i] == key:
-                return True
-            i += step
-            if i >= m:
-                i -= m
-        return False
-
-    __contains__ = contains
-
     def contains_counted(self, key: int) -> tuple[bool, int]:
         """Like contains, also returning the number of slots examined."""
         m = self._capacity
@@ -86,6 +65,12 @@ class CompactTable(OpenAddressTable):
                 i -= m
             j += 1
         return False, j
+
+    def contains(self, key: int) -> bool:
+        """True iff key is stored."""
+        return self.contains_counted(key)[0]
+
+    __contains__ = contains
 
     # -- insertion ------------------------------------------------------
 
@@ -124,25 +109,6 @@ class CompactTable(OpenAddressTable):
 
     # -- deletion -------------------------------------------------------
 
-    def remove(self, key: int) -> bool:
-        """Delete key and compress the probe chains through its slot; False if it was absent."""
-        m = self._capacity
-        step = self._step
-        pc = self._probe_counts
-        keys = self._keys
-        i = key % m
-        while pc[i]:
-            if keys[i] == key:
-                pc[i] = 0
-                keys[i] = 0
-                self._live -= 1
-                self._compress(i)
-                return True
-            i += step
-            if i >= m:
-                i -= m
-        return False
-
     def remove_counted(self, key: int) -> tuple[bool, int, int, int]:
         """Delete key and compress the probe chains through its slot.
 
@@ -166,6 +132,10 @@ class CompactTable(OpenAddressTable):
                 i -= m
             j += 1
         return False, j, 0, 0
+
+    def remove(self, key: int) -> bool:
+        """Delete key and compress the probe chains through its slot; False if it was absent."""
+        return self.remove_counted(key)[0]
 
     def _compress(self, free: int) -> tuple[int, int]:
         """Repair probe chains after slot free was emptied.

@@ -300,9 +300,10 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
     model: set[int] = set()
     failures: list[InvariantFailure] = []
 
-    # compact's plain insert is insert_counted(key)[0], so binding the twin
-    # saves a Python frame per add
-    c_insert, c_contains, c_remove = compact.insert_counted, compact.contains, compact.remove
+    # compact's plain ops are their counted twins' first items, so binding
+    # the twins saves a Python frame per op; the tombstone's plain ops skip
+    # the count its twins add
+    c_insert, c_contains, c_remove = compact.insert_counted, compact.contains_counted, compact.remove_counted
     t_insert, t_contains, t_remove = tombstone.insert, tombstone.contains, tombstone.remove
     model_add, model_discard = model.add, model.discard
 
@@ -323,13 +324,13 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
                 t = "TableFull"
         elif kind == CONTAINS:
             o = key in model
-            c = c_contains(key)
+            c = c_contains(key)[0]
             t = t_contains(key)
         elif kind == REMOVE:
             o = key in model
             if o:
                 model_discard(key)
-            c = c_remove(key)
+            c = c_remove(key)[0]
             t = t_remove(key)
         else:
             raise ValueError(f"unknown op kind {kind!r} at index {idx}")

@@ -7,7 +7,8 @@ by every probe loop; Python's % is total over the signed 64-bit range.
 :class:`OpenAddressTable` is everything CompactTable and TombstoneTable
 have in common: the key array and live count, the accessors, and growing
 and rebuilding by rehash. Each table writes its counted insert, contains
-and remove out whole, and its plain ops too where they can skip work.
+and remove out whole, and the tombstone table's plain ops, which skip its
+count.
 """
 
 from array import array
@@ -88,8 +89,10 @@ class OpenAddressTable:
     - keys(), yielding the stored keys in ascending slot order.
 
     Each plain op gives its counted twin's answer, raises its errors and
-    leaves the same table. A twin never calls a public plain op, which a
-    tracer may replace with a call of the twin.
+    leaves the same table. A CompactTable's plain ops are their twins'
+    first items; a TombstoneTable's skip the count its twins add. A twin
+    never calls a public plain op, which a tracer may replace with a call
+    of the twin.
 
     Instances are single-writer: no call is safe concurrently with a
     mutation on the same instance, but distinct instances are independent

@@ -245,6 +245,44 @@ def test_criterion_5():
                      f"band use {band_use[name]:.2f})" for name in means) + f" gap={gap:.2%}")
 
 
+# The two cost models of README's scope paragraph, on a 1,024-slot table
+# at load 0.8 under churn, the tombstone table rebuilt every 205 ops. Each
+# margin is the mean less 5 standard deviations of its ratio over seeds
+# 0-63 of the same workload, rounded down: tombstone/compact miss 1.753
+# (sd 0.083, narrowest 1.614) and compact insert/tombstone placement
+# 1.315 (sd 0.054, narrowest 1.203).
+COST_MODEL_MARGINS = {"miss": 1.33, "placement": 1.04}
+
+
+def test_compaction_wins_misses_and_tombstones_win_fresh_placement():
+    m, rebuild_every, churn_ops = 1024, 205, 4096
+    params = TableParams(m, 1)
+    compact, tombstone = CompactTable(params), TombstoneTable(params)
+    rng = SplitMix64(1)
+    live = LiveKeys()
+    for key in live.add_fresh(rng.next_u64, -2**63, 2**64, round(0.8 * m)):
+        compact.insert(key)
+        tombstone.insert(key)
+    slots = {"compact miss": 0, "tombstone miss": 0, "compact insert": 0, "tombstone placement": 0}
+    for op in range(churn_ops):
+        if op % rebuild_every == 0:
+            tombstone = tombstone.rehash(params)
+        victim = live.pick(rng.next_u64, 1)[0]
+        compact.remove(victim)
+        tombstone.remove(victim)
+        key = live.add_fresh(rng.next_u64, -2**63, 2**64, 1)[0]
+        slots["compact miss"] += compact.contains_counted(key)[1]
+        slots["tombstone miss"] += tombstone.contains_counted(key)[1]
+        slots["compact insert"] += compact.insert_counted(key)[1]
+        tombstone.insert(key)  # placed knowing the key is fresh
+        slots["tombstone placement"] += tombstone.contains_counted(key)[1]
+    detail = " ".join(f"{name}={total / churn_ops:.2f}" for name, total in slots.items())
+    # a compact insert walks to the first empty slot, so it costs a miss
+    assert slots["compact insert"] == slots["compact miss"], detail
+    assert slots["tombstone miss"] >= COST_MODEL_MARGINS["miss"] * slots["compact miss"], detail
+    assert slots["compact insert"] >= COST_MODEL_MARGINS["placement"] * slots["tombstone placement"], detail
+
+
 def _clean_empty_ok(capacity, step, key_count, seeds=20):
     params = TableParams(capacity, step)
     fresh = CompactTable(params).state_bytes()

@@ -415,6 +415,21 @@ class TestRunDifferential:
         assert payload["first_divergence"]["op"] == {"kind": "contains", "key": 14}
         assert payload["invariant_failures"][0]["report"]["violations"]
 
+    def test_compact_ops_run_through_their_counted_twins(self, monkeypatch):
+        # the tracer times the twins, so the loop must take no other compact path
+        cases = [(generate_workload(WorkloadSpec(seed=7, op_count=3000, key_universe=(0, 280))),
+                  TableParams(257, 3), 50),
+                 (ONE_SIDED_TABLE_FULL, TableParams(4, 1), 1)]
+        want = [run_differential(*case) for case in cases]
+        assert want[0].passed and not want[1].passed
+
+        def refuse(self, key):
+            raise AssertionError("run_differential called a plain compact op")
+
+        for name in ("insert", "contains", "__contains__", "remove"):
+            monkeypatch.setattr(CompactTable, name, refuse)
+        assert [run_differential(*case) for case in cases] == want
+
     def test_rejects_bad_check_every(self):
         # a float would never reach the countdown's 0, and so never check
         for check_every in (0, -1, 1.5, 2.0, "3", None, True):
