@@ -26,11 +26,15 @@ class Slot(NamedTuple):
 class CompactTable(OpenAddressTable):
     """Integer set with open addressing and compaction-based deletion; growth counts live keys."""
 
-    __slots__ = ("_probe_counts",)
+    __slots__ = ("_probe_counts", "_live")
 
     def __init__(self, params: TableParams):
         super().__init__(params)
         self._probe_counts = array("q", [0]) * params.capacity
+        self._live = 0
+
+    def __len__(self) -> int:
+        return self._live
 
     def keys(self) -> Iterator[int]:
         """Yield each stored key once, in ascending slot order."""

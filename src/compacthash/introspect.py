@@ -34,7 +34,7 @@ count_nonzero; a tombstone table's invalid states take one more. Only
 after a screen or a counter finds something does the report code run:
 it sorts the findings by kind and slot, counts the occupied path
 positions of each key with a gap, names the slots of repeated keys with
-a stable argsort and builds the detail strings.
+one lexsort and builds the detail strings.
 """
 
 from dataclasses import dataclass, field
@@ -154,12 +154,10 @@ def _by_slot(idx: np.ndarray, slots: np.ndarray) -> np.ndarray:
 def _dup_violations(keys_busy: np.ndarray, slots_busy: np.ndarray) -> list[Violation]:
     """DUPLICATE_KEY at every copy of a key after its lowest slot, in key order.
 
-    The pairs may come in any order; they are put in slot order before the
-    stable argsort that decides which slots get reported.
+    The pairs may come in any order; one lexsort puts them in key order and
+    each key's copies in slot order, which decides the slots reported.
     """
-    by_slot = np.argsort(slots_busy)
-    keys_busy, slots_busy = keys_busy[by_slot], slots_busy[by_slot]
-    order = np.argsort(keys_busy, kind="stable")
+    order = np.lexsort((slots_busy, keys_busy))
     ks = keys_busy[order]
     dup_at = np.flatnonzero(ks[1:] == ks[:-1])
     out = []
@@ -249,7 +247,7 @@ def _check_tombstone(table: TombstoneTable) -> ViolationReport:
     flags = gap.copy()
     ks.sort()
     flags[1:] |= ks[1:] == ks[:-1]  # a repeated key
-    if (live == table._live and non_free == table._non_free and non_free < m
+    if (live == len(table) and non_free == table._non_free and non_free < m
             and not np.count_nonzero(invalid) and not np.count_nonzero(flags)):
         return ViolationReport()
 

@@ -5,10 +5,10 @@ threads and tables. A key's home slot is key % capacity, computed inline
 by every probe loop; Python's % is total over the signed 64-bit range.
 
 :class:`OpenAddressTable` is everything CompactTable and TombstoneTable
-have in common: the key array and live count, the accessors, and growing
-and rebuilding by rehash. Each table writes its counted insert, contains
-and remove out whole, and the tombstone table's plain ops, which skip its
-count.
+have in common: the key array, the accessors, and growing and rebuilding
+by rehash. Each table answers len() and keys() from its own record of
+its keys, and writes its counted insert, contains and remove out whole,
+and the tombstone table's plain ops, which skip its count.
 """
 
 from array import array
@@ -86,7 +86,10 @@ class OpenAddressTable:
       contains_counted(key) -> (found, slots examined);
     - remove(key) -> removed, and remove_counted(key) -> a tuple whose
       first item is "removed";
-    - keys(), yielding the stored keys in ascending slot order.
+    - len() -> the number of stored keys, and keys(), yielding them in
+      ascending slot order. A CompactTable keeps a live counter for len()
+      and scans its probe counts for keys(); a TombstoneTable reads both
+      from _slot_of, its key-to-slot dict.
 
     Each plain op gives its counted twin's answer, raises its errors and
     leaves the same table. A CompactTable's plain ops are their twins'
@@ -102,14 +105,13 @@ class OpenAddressTable:
     stores the first FREE slot after the slot written, which no lookup moves.
     """
 
-    __slots__ = ("_params", "_capacity", "_step", "_keys", "_live")
+    __slots__ = ("_params", "_capacity", "_step", "_keys")
 
     def __init__(self, params: TableParams):
         self._params = params
         self._capacity = params.capacity
         self._step = params.step
         self._keys = array("q", [0]) * params.capacity
-        self._live = 0
 
     @property
     def params(self) -> TableParams:
@@ -118,9 +120,6 @@ class OpenAddressTable:
     @property
     def capacity(self) -> int:
         return self._capacity
-
-    def __len__(self) -> int:
-        return self._live
 
     def _grow(self) -> None:
         # step % new_cap probes the same sequence as step; it differs from
@@ -144,9 +143,9 @@ class OpenAddressTable:
         Raises CapacityTooSmallError if the new capacity cannot hold every
         key plus one empty slot.
         """
-        if new_params.capacity - 1 < self._live:
+        if new_params.capacity - 1 < len(self):
             raise CapacityTooSmallError(
-                f"capacity {new_params.capacity} cannot hold {self._live} keys plus an empty slot")
+                f"capacity {new_params.capacity} cannot hold {len(self)} keys plus an empty slot")
         fresh = type(self)(replace(new_params, growth_enabled=False))
         for key in self.keys():
             fresh._insert(key)

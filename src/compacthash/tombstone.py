@@ -16,6 +16,8 @@ itself, a stored key's slot, or else (an absent key, or an insert that
 reuses a tombstone) the first FREE slot on the path, found by next-FREE
 shortcuts with path compression that only the twins make and follow, in
 a dict of their own: the plain table costs 9 bytes per slot plus _slot_of.
+That key-to-slot dict is also the table's size and key listing: len() is
+its length, and keys() its keys sorted by slot.
 """
 
 from array import array
@@ -61,12 +63,12 @@ class TombstoneTable(OpenAddressTable):
         """BUSY plus DELETED slots; never decreases except on rehash."""
         return self._non_free
 
+    def __len__(self) -> int:
+        return len(self._slot_of)
+
     def keys(self) -> Iterator[int]:
-        st = self._states
-        keys = self._keys
-        for i in range(self._capacity):
-            if st[i] == BUSY:
-                yield keys[i]
+        slot_of = self._slot_of
+        return iter(sorted(slot_of, key=slot_of.__getitem__))
 
     def slot(self, index: int) -> TombstoneSlot:
         return TombstoneSlot(self._keys[index], self._states[index])
@@ -80,8 +82,15 @@ class TombstoneTable(OpenAddressTable):
         return self._states[key % self._capacity] != FREE and key in self._slot_of  # a non-int key raises first
 
     def contains_counted(self, key: int) -> tuple[bool, int]:
-        """Like contains, also returning the slots examined, terminator or hit included."""
-        return self._contains(key), self._walk_count(key)
+        """Like contains, also returning the slots the classical walk examines, its stop included."""
+        m = self._capacity
+        home = key % m
+        if self._states[home] == FREE:
+            return False, 1
+        stop = self._slot_of.get(key)
+        if stop is None:
+            return False, (self._first_free(home) - home) * self._inv_step % m + 1
+        return True, (stop - home) * self._inv_step % m + 1
 
     # -- insertion ------------------------------------------------------
 
@@ -111,7 +120,6 @@ class TombstoneTable(OpenAddressTable):
             self._non_free += 1
         st[i] = BUSY
         self._keys[i] = key
-        self._live += 1
         self._slot_of[key] = i
         return True
 
@@ -122,18 +130,7 @@ class TombstoneTable(OpenAddressTable):
         if added and self._capacity == m and self._non_free == non_free:
             home = key % m  # a reused tombstone: the classical walk goes on to the first FREE slot
             return True, (self._first_free(home) - home) * self._inv_step % m + 1
-        return added, self._walk_count(key)
-
-    def _walk_count(self, key: int) -> int:
-        """Slots the classical walk for key examines: to key's slot if stored, else to the first FREE slot."""
-        m = self._capacity
-        home = key % m
-        if self._states[home] == FREE:
-            return 1
-        stop = self._slot_of.get(key)
-        if stop is None:
-            stop = self._first_free(home)
-        return (stop - home) * self._inv_step % m + 1
+        return added, self._walk(key)[1]
 
     def _first_free(self, i: int) -> int:
         """First FREE slot on the probe path from non-FREE slot i.
@@ -165,15 +162,15 @@ class TombstoneTable(OpenAddressTable):
             return False
         st[i] = DELETED
         self._keys[i] = 0
-        self._live -= 1
         return True
 
     def remove_counted(self, key: int) -> tuple[bool, int]:
         """Like remove, also returning the slots examined, terminator or hit included."""
-        n = self._walk_count(key)
+        n = self._walk(key)[1]
         return self._remove(key), n
 
-    # the twins' names for the plain ops: a wrapper that makes a public op call its twin must not recurse
-    _contains = __contains__ = contains
+    __contains__ = contains
+    # the twins' names for the ops they call: a wrapper that makes a public op call its twin must not recurse
+    _walk = contains_counted
     _insert = insert
     _remove = remove

@@ -54,7 +54,7 @@ def _corrupt(data, t):
     if isinstance(t, CompactTable):
         fields = ["clear", "_probe_counts", "_keys", "_live"]
     else:
-        fields = ["clear", "_states", "_keys", "_live", "_non_free"]
+        fields = ["clear", "_states", "_keys", "_slot_of", "_non_free"]
     name = data.draw(st.sampled_from(fields), label="field")
     m = t.capacity
     if name == "clear":  # empty a slot behind the table's back, often opening a gap
@@ -69,6 +69,13 @@ def _corrupt(data, t):
     elif name == "_keys":
         key = st.sampled_from(stored) | ANY_KEY if stored else ANY_KEY
         t._keys[_slot(data, t)] = data.draw(key, label="key")
+    elif name == "_slot_of":  # lose an entry, or add one for a key stored nowhere; len(t) sees either
+        if t._slot_of and data.draw(st.booleans(), label="drop"):
+            del t._slot_of[data.draw(st.sampled_from(stored), label="dropped")]
+        else:
+            held = set(t._keys)
+            phantom = data.draw(ANY_KEY.filter(lambda k: k not in held and k not in t._slot_of), label="phantom")
+            t._slot_of[phantom] = _slot(data, t)
     else:
         value = getattr(t, name)
         setattr(t, name, max(0, value + data.draw(st.integers(-3, 3), label="delta")))

@@ -94,6 +94,22 @@ class TestCheckInvariants:
         t._non_free = 0
         assert kinds_at(check(t)) == {(COUNT_MISMATCH, -1)}
 
+    def test_tombstone_index_entry_for_a_key_stored_nowhere(self):
+        # the lookups answer from _slot_of, whose size is the table's len()
+        t = tombstone(64, keys=[1, 65, 129, 7])
+        t.remove(65)
+        t._slot_of[193] = t._slot_of[129]
+        assert 193 in t
+        assert check(t).to_json_dict()["violations"] == [
+            {"slot_index": -1, "kind": COUNT_MISMATCH, "detail": "live_count 4 but 3 BUSY slots"}]
+
+    def test_tombstone_index_that_lost_a_stored_key(self):
+        t = tombstone(64, keys=[1])
+        del t._slot_of[1]
+        assert 1 not in t
+        assert check(t).to_json_dict()["violations"] == [
+            {"slot_index": -1, "kind": COUNT_MISMATCH, "detail": "live_count 0 but 1 BUSY slots"}]
+
     def test_violations_are_data_not_errors(self):
         t = compact(7, keys=[7])
         t._live = 3
