@@ -17,7 +17,7 @@ reuses a tombstone) the first FREE slot on the path, found by next-FREE
 shortcuts with path compression that only the twins make and follow, in
 a dict of their own: the plain table costs 9 bytes per slot plus _slot_of.
 That key-to-slot dict is also the table's size and key listing: len() is
-its length, and keys() its keys sorted by slot.
+its length, and keys() reads the key array at its slots, in ascending order.
 """
 
 from array import array
@@ -67,8 +67,7 @@ class TombstoneTable(OpenAddressTable):
         return len(self._slot_of)
 
     def keys(self) -> Iterator[int]:
-        slot_of = self._slot_of
-        return iter(sorted(slot_of, key=slot_of.__getitem__))
+        return map(self._keys.__getitem__, sorted(self._slot_of.values()))
 
     def slot(self, index: int) -> TombstoneSlot:
         return TombstoneSlot(self._keys[index], self._states[index])

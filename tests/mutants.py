@@ -4,12 +4,12 @@ Each entry is a one-place edit: a file under src/compacthash/, an exact
 old -> new text replacement, and the test node IDs expected to fail on
 the mutated code.
 
-    python tests/mutants.py [--timeout SECONDS] [NAME ...]
+    python tests/mutants.py
 
 copies src/ to a temporary directory and first runs every named test
 there unmutated, which must pass. Then, one mutant at a time, it applies
 the replacement to the copy and runs that mutant's tests against it in
-one pytest subprocess under the timeout, one subprocess at a time, and
+one pytest subprocess under TIMEOUT_S, one subprocess at a time, and
 prints one JSON line per mutant with its status:
 
 - killed: a test failed (its node ID is listed under "failed");
@@ -22,7 +22,6 @@ collect this file; tests/test_mutants.py checks in Tier-1 that no entry
 is stale.
 """
 
-import argparse
 import json
 import os
 import shutil
@@ -35,6 +34,7 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
+TIMEOUT_S = 300  # per pytest run
 
 
 class Mutant(NamedTuple):
@@ -102,13 +102,13 @@ def occurrences(mutant: Mutant, src: Path = SRC) -> int:
     return (src / "compacthash" / mutant.file).read_text().count(mutant.old)
 
 
-def run_tests(tests, src: Path, cwd: Path, timeout: float) -> subprocess.CompletedProcess:
+def run_tests(tests, src: Path, cwd: Path) -> subprocess.CompletedProcess:
     """pytest on tests, importing compacthash from src; raises subprocess.TimeoutExpired."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "-o", f"pythonpath={src}", *(str(REPO / t) for t in tests)]
     # no bytecode cache: a mutant of the same size, written in the same second, would look fresh
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
 
 
 def _node_id(printed: str, cwd: Path) -> str:
@@ -117,30 +117,20 @@ def _node_id(printed: str, cwd: Path) -> str:
     return os.path.relpath(os.path.normpath(cwd / path), REPO) + sep + rest
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per pytest run")
-    args = parser.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in by_name]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [by_name[n] for n in args.names] or list(MUTANTS)
-
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         # pytest runs in tmp, so hypothesis keeps the mutants' examples there
         work = Path(tmp)
         src = work / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-        every_test = list(dict.fromkeys(t for m in chosen for t in m.tests))
-        base = run_tests(every_test, src, work, args.timeout)
+        every_test = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        base = run_tests(every_test, src, work)
         if base.returncode:
             print(base.stdout[-4000:] + base.stderr[-4000:], file=sys.stderr)
             print(json.dumps({"name": "unmutated", "status": "failed"}))
             return 1
         ok = True
-        for m in chosen:
+        for m in MUTANTS:
             path = src / "compacthash" / m.file
             clean = path.read_text()
             if clean.count(m.old) != 1:
@@ -149,7 +139,7 @@ def main(argv=None) -> int:
                 path.write_text(clean.replace(m.old, m.new))
                 start = time.perf_counter()
                 try:
-                    run = run_tests(m.tests, src, work, args.timeout)
+                    run = run_tests(m.tests, src, work)
                 except subprocess.TimeoutExpired:
                     status, failed = "timeout", []
                 else:

@@ -1,6 +1,7 @@
 import dataclasses
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -175,6 +176,14 @@ def test_non_int_key_equal_to_a_live_key_raises(cls):
             op(1.0)
         assert _snapshot(table) == before
     assert table.contains(1) and table.remove(1)  # and the int key is still found
+
+
+@pytest.mark.parametrize("cls", [CompactTable, TombstoneTable])
+def test_keys_lists_plain_ints_whatever_int_type_was_inserted(cls):
+    table = cls(TableParams(7, 1))
+    for key in (np.int64(9), True, 3):
+        assert table.insert(key)
+    assert [(type(k), k) for k in table.keys()] == [(int, 1), (int, 9), (int, 3)]
 
 
 @pytest.mark.parametrize("cls", [CompactTable, TombstoneTable])
