@@ -12,8 +12,8 @@ from pathlib import Path
 
 from .compact import CompactTable
 from .errors import CompactHashError, TableFullError, TraceParseError
-from .harness import (GENERATOR_ID, LiveKeys, SplitMix64, WorkloadSpec, format_trace,
-                      generate_workload, parse_trace, run_differential)
+from .harness import (ADD, CONTAINS, GENERATOR_ID, REMOVE, LiveKeys, SplitMix64, WorkloadSpec,
+                      format_trace, generate_workload, parse_trace, run_differential)
 from .introspect import probe_stats
 from .probing import KEY_MAX, KEY_MIN, TableParams
 from .tombstone import TombstoneTable
@@ -92,7 +92,7 @@ def cmd_trace(args) -> int:
     step = args.step if args.step is not None else _header_int(meta, "step", 1)
     params = TableParams(capacity, step)
     table = CompactTable(params) if args.table == "compact" else TombstoneTable(params)
-    apply_op = {"add": table.insert, "contains": table.contains, "remove": table.remove}
+    apply_op = {ADD: table.insert, CONTAINS: table.contains, REMOVE: table.remove}
     results = [apply_op[kind](key) for kind, key in ops]
     for result in results:
         print("+" if result else "-")

@@ -9,11 +9,10 @@ table never degrades under insert/delete churn.
 """
 
 from array import array
-from operator import index
 from typing import Iterator, NamedTuple
 
 from .errors import KeyOutOfRangeError, TableFullError
-from .probing import GROWTH_LOAD_FACTOR, KEY_MAX, KEY_MIN, OpenAddressTable, TableParams
+from .probing import KEY_MAX, KEY_MIN, OpenAddressTable, TableParams
 
 
 class Slot(NamedTuple):
@@ -82,9 +81,6 @@ class CompactTable(OpenAddressTable):
         """Like insert, also returning the number of slots examined."""
         if not KEY_MIN <= key <= KEY_MAX:
             raise KeyOutOfRangeError(f"key {key} is outside the signed 64-bit range")
-        if self._params.growth_enabled and (self._live + 1) / self._capacity > GROWTH_LOAD_FACTOR:
-            index(key)  # a key that is no int raises before it can grow the table
-            self._grow()
         m = self._capacity
         step = self._step
         pc = self._probe_counts
@@ -98,6 +94,8 @@ class CompactTable(OpenAddressTable):
             if i >= m:
                 i -= m
             j += 1
+        if self._params.growth_enabled and self._grow(self._live + 1):
+            return self._insert(key)
         if self._live == m - 1:
             raise TableFullError(f"table at occupancy cap {m - 1} (capacity {m}) and growth disabled")
         keys[i] = key

@@ -24,10 +24,10 @@ DEFAULT_CAPACITY = 1_000_000
 KEY_MIN = -(1 << 63)
 KEY_MAX = (1 << 63) - 1
 
-# With growth enabled, an insert that would push the table's growth count
-# over GROWTH_LOAD_FACTOR of its capacity first rehashes into
+# With growth enabled, an insert whose placement would push the table's
+# growth count over GROWTH_LOAD_FACTOR of its capacity rehashes into
 # GROWTH_MULTIPLIER times the capacity (rounded up to the next value
-# coprime with the step).
+# coprime with the step) and places the key there instead.
 GROWTH_LOAD_FACTOR = 0.7
 GROWTH_MULTIPLIER = 2
 
@@ -75,13 +75,12 @@ class OpenAddressTable:
 
     - insert(key) -> added, and insert_counted(key) -> (added, slots
       examined). Each raises KeyOutOfRangeError for a key outside
-      [KEY_MIN, KEY_MAX]; then, if growth is on and the next insert would
-      push the growth count over GROWTH_LOAD_FACTOR, calls index(key) and
-      _grow(), even for a key already present; then probes, raising
-      TableFullError rather than take the last empty slot. A raise
-      changes nothing. _insert is the plain insert or insert_counted,
-      whichever the other calls, under a name that rehash calls and no
-      wrapper patches;
+      [KEY_MIN, KEY_MAX], then probes. With growth on, a placement that
+      raises the growth count calls _grow(count), and retries through
+      _insert if that grew the table; no insert takes the last empty slot,
+      raising TableFullError. One that answers False or raises changes
+      nothing. _insert, which rehash calls and no wrapper patches, is the
+      plain insert or insert_counted, whichever the other calls;
     - contains(key) -> found, bound to __contains__ too, and
       contains_counted(key) -> (found, slots examined);
     - remove(key) -> removed, and remove_counted(key) -> a tuple whose
@@ -121,13 +120,17 @@ class OpenAddressTable:
     def capacity(self) -> int:
         return self._capacity
 
-    def _grow(self) -> None:
+    def _grow(self, count: int) -> bool:
+        """With growth on, rehash into a larger capacity if count passes the threshold; True if it grew."""
+        if count / self._capacity <= GROWTH_LOAD_FACTOR:
+            return False
         # step % new_cap probes the same sequence as step; it differs from
         # step only when growing a 1-slot table, whose step may be any
         new_cap = GROWTH_MULTIPLIER * self._capacity
         while gcd(self._step, new_cap) != 1:
             new_cap += 1
         self._adopt(self.rehash(replace(self._params, capacity=new_cap, step=self._step % new_cap)))
+        return True
 
     def _adopt(self, other: "OpenAddressTable") -> None:
         for cls in type(self).__mro__:

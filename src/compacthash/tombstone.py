@@ -21,11 +21,10 @@ its length, and keys() reads the key array at its slots, in ascending order.
 """
 
 from array import array
-from operator import index
 from typing import Iterator, NamedTuple
 
 from .errors import KeyOutOfRangeError, TableFullError
-from .probing import GROWTH_LOAD_FACTOR, KEY_MAX, KEY_MIN, OpenAddressTable, TableParams
+from .probing import KEY_MAX, KEY_MIN, OpenAddressTable, TableParams
 
 FREE = 0
 BUSY = 1
@@ -98,9 +97,6 @@ class TombstoneTable(OpenAddressTable):
         otherwise take the first FREE slot; False if the key was present."""
         if not KEY_MIN <= key <= KEY_MAX:
             raise KeyOutOfRangeError(f"key {key} is outside the signed 64-bit range")
-        if self._params.growth_enabled and (self._non_free + 1) / self._capacity > GROWTH_LOAD_FACTOR:
-            index(key)  # a key that is no int raises before it can grow the table
-            self._grow()
         m = self._capacity
         st = self._states
         i = key % m
@@ -114,6 +110,8 @@ class TombstoneTable(OpenAddressTable):
                 i -= m
             s = st[i]
         if s == FREE:
+            if self._params.growth_enabled and self._grow(self._non_free + 1):
+                return self._insert(key)
             if m - self._non_free == 1:
                 raise TableFullError(f"table has a single FREE slot left (capacity {m}) and growth disabled")
             self._non_free += 1

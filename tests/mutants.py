@@ -94,6 +94,48 @@ MUTANTS = (
            "    invalid = marks > DELETED\n",
            ("tests/test_checker_equivalence.py::test_targeted_corruptions_at_workload_shape"
             "[TombstoneTable-step1-260ops-invalid-state-minus-1]",)),
+    # an insert of a present key at the threshold grows the table, as inserts did before growth moved
+    Mutant("compact-grows-before-walk", "compact.py",
+           "            raise KeyOutOfRangeError(f\"key {key} is outside the signed 64-bit range\")\n"
+           "        m = self._capacity\n",
+           "            raise KeyOutOfRangeError(f\"key {key} is outside the signed 64-bit range\")\n"
+           "        if self._params.growth_enabled:\n"
+           "            self._grow(self._live + 1)\n"
+           "        m = self._capacity\n",
+           ("tests/test_model.py::TestCompactMachine::runTest",
+            "tests/test_probing.py::test_only_an_insert_that_places_a_key_grows_the_table[insert-CompactTable]")),
+    Mutant("tombstone-reuse-grows", "tombstone.py",
+           "        if s == FREE:\n"
+           "            if self._params.growth_enabled and self._grow(self._non_free + 1):\n"
+           "                return self._insert(key)\n",
+           "        if self._params.growth_enabled and self._grow(self._non_free + 1):\n"
+           "            return self._insert(key)\n"
+           "        if s == FREE:\n",
+           ("tests/test_model.py::TestTombstoneMachine::runTest",
+            "tests/test_tombstone.py::TestGrowthAndRehash::test_tombstone_reuse_never_grows")),
+    # the answer is the same, but a tracer that patches insert_counted counts the retry as a second insert
+    Mutant("compact-retry-calls-public-insert", "compact.py",
+           "            return self._insert(key)\n",
+           "            return self.insert_counted(key)\n",
+           ("tests/test_probing.py::test_rebuilds_place_keys_through_no_public_insert[CompactTable]",)),
+    # sorted by slot alone, a key's copies are compared only when no BUSY slot lies between them
+    Mutant("checker-duplicates-in-adjacent-slots-only", "introspect.py",
+           "    order = np.lexsort((slots_busy, keys_busy))\n",
+           "    order = np.argsort(slots_busy, kind=\"stable\")\n",
+           ("tests/test_introspect.py::TestCheckInvariants::test_duplicate_key_detected",)),
+    Mutant("generator-kind-and-key-draws-swapped", "harness.py",
+           "        u, k = draws[0::2], draws[1::2]\n",
+           "        k, u = draws[0::2], draws[1::2]\n",
+           ("tests/test_golden.py::test_generated_trace_digest",)),
+    Mutant("rehash-in-descending-slot-order", "probing.py",
+           "        for key in self.keys():\n",
+           "        for key in reversed(list(self.keys())):\n",
+           ("tests/test_compact.py::test_state_is_the_replay_of_the_live_keys",)),
+    # _first_free would then loop for ever on its next call; the twin test checks the shortcuts after every op
+    Mutant("first-free-points-a-slot-at-itself", "tombstone.py",
+           "            nxt[i], i = root, nxt.get(i, (i + step) % m)\n",
+           "            nxt[i], i = i, nxt.get(i, (i + step) % m)\n",
+           ("tests/test_tombstone.py::test_plain_ops_match_their_counted_twins",)),
 )
 
 

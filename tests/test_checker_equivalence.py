@@ -71,7 +71,7 @@ def _corrupt(data, t):
         t._keys[_slot(data, t)] = data.draw(key, label="key")
     elif name == "_slot_of":  # lose an entry, or add one for a key stored nowhere; len(t) sees either
         if t._slot_of and data.draw(st.booleans(), label="drop"):
-            del t._slot_of[data.draw(st.sampled_from(stored), label="dropped")]
+            del t._slot_of[data.draw(st.sampled_from(sorted(t._slot_of)), label="dropped")]
         else:
             held = set(t._keys)
             phantom = data.draw(ANY_KEY.filter(lambda k: k not in held and k not in t._slot_of), label="phantom")

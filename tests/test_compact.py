@@ -186,14 +186,6 @@ class TestGrowth:
         t = build(5, keys=[0, 1, 2, 3])
         assert t.capacity == 5
 
-    def test_duplicate_insert_can_trigger_growth(self):
-        # the growth check runs before the probe walk, so even a
-        # duplicate grows the table; the key set is untouched
-        t = build(5, growth_enabled=True, keys=[0, 1, 2])
-        assert not t.insert(0)
-        assert t.capacity == 10
-        assert sorted(t.keys()) == [0, 1, 2]
-
 
 class TestCapacityOne:
     def test_holds_nothing_but_terminates(self):

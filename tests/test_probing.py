@@ -188,17 +188,19 @@ def test_keys_lists_plain_ints_whatever_int_type_was_inserted(cls):
 
 @pytest.mark.parametrize("cls", [CompactTable, TombstoneTable])
 @pytest.mark.parametrize("counted", [False, True], ids=["insert", "insert_counted"])
-def test_inserting_a_present_key_at_the_threshold_grows_the_table(cls, counted):
-    # growth comes before membership: 7 keys fill 10 slots to the threshold,
-    # so an eighth insert grows the table, even one whose key is present
+def test_only_an_insert_that_places_a_key_grows_the_table(cls, counted):
+    # 7 keys fill 10 slots to the threshold: a present key is refused with
+    # nothing changed, and the next key that is placed grows the table
     table = cls(TableParams(10, 1, growth_enabled=True))
     for key in range(7):
         assert table.insert(key)
-    assert table.capacity == 10
-    added = table.insert_counted(3)[0] if counted else table.insert(3)
-    assert added is False
+    insert = (lambda key: table.insert_counted(key)[0]) if counted else table.insert
+    before = table.state_bytes()
+    assert insert(3) is False
+    assert table.capacity == 10 and table.state_bytes() == before
+    assert insert(7) is True
     assert table.capacity == 20
-    assert sorted(table.keys()) == list(range(7))
+    assert sorted(table.keys()) == list(range(8))
     assert check_invariants(table).passed
 
 

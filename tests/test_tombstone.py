@@ -210,15 +210,25 @@ class TestGrowthAndRehash:
 
     def test_growth_triggered_by_non_free_count(self):
         # tombstones count toward the growth trigger: the table grows on
-        # the next insert even though nothing is live anymore
+        # the next insert that takes a FREE slot, though nothing is live
         t = build(8, step=1, growth_enabled=True, keys=[0, 1, 2, 3, 4])
         for key in [0, 1, 2, 3, 4]:
             t.remove(key)
         assert len(t) == 0 and t.non_free_count == 5
-        t.insert(40)
+        t.insert(5)
         assert t.capacity == 16
         assert t.non_free_count - len(t) == 0  # rehash dropped them
-        assert sorted(t.keys()) == [40]
+        assert sorted(t.keys()) == [5]
+        assert check_invariants(t).passed
+
+    def test_tombstone_reuse_never_grows(self):
+        # 40 reuses DELETED slot 0, which leaves the non-FREE count as it was
+        t = build(8, step=1, growth_enabled=True, keys=[0, 1, 2, 3, 4])
+        for key in [0, 1, 2, 3, 4]:
+            t.remove(key)
+        assert t.insert(40)
+        assert t.capacity == 8 and t.non_free_count == 5
+        assert t.slot(0) == (40, BUSY)
         assert check_invariants(t).passed
 
 
@@ -258,7 +268,7 @@ def test_matches_walking_reference_exactly(ops, shape):
         else:
             assert t.remove_counted(key) == ref.remove_counted(key)
         assert t.state_bytes() == ref.state_bytes()
-        # every op answers from _slot_of, which check_invariants does not read
+        # every op answers from _slot_of; check_invariants reads its size, not its entries
         cells = (t.slot(i) for i in range(capacity))
         assert t._slot_of == {cell.key: i for i, cell in enumerate(cells) if cell.state == BUSY}
         report = check_invariants(t)

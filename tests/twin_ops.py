@@ -1,8 +1,9 @@
-"""Cases for the tests that hold each table's plain ops to their counted twins.
+"""Cases for the tests that drive both tables through drawn ops.
 
-twin_cases draws any accepted TableParams at capacities 1-23 and ops on
-keys that stress both paths; outcome turns an op's answer or error into
-a value two runs can compare.
+table_params draws any accepted TableParams up to a capacity; twin_cases
+draws them at capacities 1-23, with ops on keys that stress both paths,
+for the tests that hold each table's plain ops to their counted twins;
+outcome turns an op's answer or error into a value two runs can compare.
 """
 
 from math import gcd
@@ -14,14 +15,21 @@ from compacthash.probing import KEY_MAX, KEY_MIN
 
 
 @st.composite
-def twin_cases(draw):
-    """Any accepted TableParams at capacities 1-23 (every coprime step, any
-    step at capacity 1, growth on and off) and ops on keys whose homes
-    collide, the ends of the key range, a key past it, 1 and 1.0."""
-    capacity = draw(st.integers(1, 23))
+def table_params(draw, max_capacity):
+    """Any accepted TableParams at capacities 1-max_capacity: every coprime
+    step, any step at capacity 1, growth on and off."""
+    capacity = draw(st.integers(1, max_capacity))
     steps = [s for s in range(1, capacity) if gcd(s, capacity) == 1]
     step = draw(st.sampled_from(steps) if steps else st.integers(1, 64))
-    params = TableParams(capacity, step, draw(st.booleans()))
+    return TableParams(capacity, step, draw(st.booleans()))
+
+
+@st.composite
+def twin_cases(draw):
+    """Any accepted TableParams at capacities 1-23 and ops on keys whose
+    homes collide, the ends of the key range, a key past it, 1 and 1.0."""
+    params = draw(table_params(23))
+    capacity = params.capacity
     keys = st.integers(-3 * capacity - 3, 3 * capacity + 3) | st.sampled_from([KEY_MIN, KEY_MAX, KEY_MAX + 1, 1, 1.0])
     return params, draw(st.lists(st.tuples(st.sampled_from(["insert", "contains", "in", "remove"]), keys),
                                  max_size=60))
