@@ -28,8 +28,7 @@ The points, all on 65,536-slot tables built from seeded keys:
   default `compacthash bench` leaves after round 25, 32,768 BUSY and
   32,767 DELETED slots at step 1, the shape the churn workload calls
   probe_stats on.
-- generate_workload on the fuzz-bulk spec (100,000 base ops) and on a
-  spec whose churn rounds make up half its ops, and 200,000
+- generate_workload on the fuzz-bulk spec (100,000 ops), and 200,000
   SplitMix64.next_u64 draws.
 - run_differential on the fuzz-bulk ops at steps 1 and 3, with the
   invariant checker run once after the last op, and the fuzz-checked
@@ -96,11 +95,12 @@ FUZZ_PREFIX = 200  # ops per fuzz-checked seed
 TABLES = (("CompactTable", "compact"), ("TombstoneTable", "tombstone"))
 MIX = (0.45, 0.35, 0.20)
 UNIVERSE = (0, 2 * CAPACITY)
-GEN_SPECS = {  # point -> the spec, built with a package's WorkloadSpec
-    "fuzz-bulk": lambda pkg: pkg.WorkloadSpec(0, 100_000, UNIVERSE, MIX),
-    "churn": lambda pkg: pkg.WorkloadSpec(0, 50_000, UNIVERSE, MIX, churn_rounds=50, churn_batch=500),
-}
 DRAWS = 200_000
+
+
+def _fuzz_bulk_ops(pkg):
+    """The fuzz-bulk workload, built with package pkg."""
+    return pkg.generate_workload(pkg.WorkloadSpec(0, 100_000, UNIVERSE, MIX))
 
 
 def _keys(seed: int, count: int) -> list[int]:
@@ -256,12 +256,11 @@ def _draws(pkg) -> list[int]:
 
 
 def generation_rows(parent):
-    for name, spec in GEN_SPECS.items():
-        point = f"generate_workload/{name}"
-        runs = [partial(pkg.generate_workload, spec(pkg)) for pkg in (compacthash, parent)]
-        ops = runs[0]()
-        _agree(point, "op lists", ops, runs[1]())
-        yield point, {"ops": len(ops), "generate_workload": paired(*runs)}
+    point = "generate_workload/fuzz-bulk"
+    runs = [partial(_fuzz_bulk_ops, pkg) for pkg in (compacthash, parent)]
+    ops = runs[0]()
+    _agree(point, "op lists", ops, runs[1]())
+    yield point, {"ops": len(ops), "generate_workload": paired(*runs)}
     point = f"splitmix64/draws{DRAWS}"
     runs = [partial(_draws, pkg) for pkg in (compacthash, parent)]
     _agree(point, "draws", runs[0](), runs[1]())
@@ -277,8 +276,7 @@ def _differential(pkg, step: int, seqs, check_every: int | None):
 
 def differential_rows(parent):
     for step in STEPS:
-        bulk = [_differential(pkg, step, [pkg.generate_workload(GEN_SPECS["fuzz-bulk"](pkg))], None)
-                for pkg in (compacthash, parent)]
+        bulk = [_differential(pkg, step, [_fuzz_bulk_ops(pkg)], None) for pkg in (compacthash, parent)]
         checked = [_differential(pkg, step, [pkg.generate_workload(pkg.WorkloadSpec(seed, 10_000, UNIVERSE, MIX))
                                              [:FUZZ_PREFIX] for seed in FUZZ_SEEDS], 1)
                    for pkg in (compacthash, parent)]
@@ -351,7 +349,7 @@ def lookup_row(point: str, tables, step: int) -> dict:
 def table_rows(parent):
     pkgs = (compacthash, parent)
     for step in STEPS:
-        ops = [pkg.generate_workload(GEN_SPECS["fuzz-bulk"](pkg)) for pkg in pkgs]
+        ops = [_fuzz_bulk_ops(pkg) for pkg in pkgs]
         lookups = {}
         for kind, name in TABLES:
             point = f"replay/{name}/step{step}/fuzz-bulk"

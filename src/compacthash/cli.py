@@ -1,7 +1,8 @@
 """Command-line interface: fuzzing, trace replay, and the churn benchmark.
 
 Exit codes: 0 success, 1 differential or benchmark assertion failure,
-2 usage/parse error or a capacity too large to allocate. Output is deterministic: two invocations with
+2 usage/parse error, output that cannot be written, or a capacity too
+large to allocate. Output is deterministic: two invocations with
 identical arguments produce byte-identical artifacts.
 """
 
@@ -46,6 +47,15 @@ def _parse_universe(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write text to path, making its directory; an OSError is a usage error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as e:
+        raise _UsageError(f"cannot write {path}: {e}") from None
+
+
 def _header_int(meta: dict[str, str], name: str, default: int) -> int:
     try:
         return int(meta.get(name, default))
@@ -67,14 +77,13 @@ def cmd_fuzz(args) -> int:
         ops = generate_workload(spec)
         verdict = run_differential(ops, params, check_every=args.check_every)
         if not verdict.passed:
-            out_dir.mkdir(parents=True, exist_ok=True)
             meta = {"capacity": params.capacity, "step": params.step, "seed": seed,
                     "generator": GENERATOR_ID}
             trace_path = out_dir / f"seed{seed}.trace"
             verdict_path = out_dir / f"seed{seed}.verdict.json"
-            trace_path.write_text(format_trace(ops, meta))
-            verdict_path.write_text(json.dumps(verdict.to_json_dict(), indent=2) + "\n")
-            print(f"seed {seed}: FAIL (trace: {trace_path}, verdict: {verdict_path})")
+            print(f"seed {seed}: FAIL (trace: {trace_path}, verdict: {verdict_path})", flush=True)
+            _write_text(trace_path, format_trace(ops, meta))
+            _write_text(verdict_path, json.dumps(verdict.to_json_dict(), indent=2) + "\n")
             return 1
         print(f"seed {seed}: ok ({len(ops)} ops)")
     return 0
@@ -220,9 +229,7 @@ def _emit_bench(args, rows: list[dict], summary: dict) -> None:
         text = json.dumps(payload, indent=2) + "\n"
         filename = "bench.json"
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / filename).write_text(text)
+        _write_text(Path(args.out_dir) / filename, text)
     else:
         sys.stdout.write(text)
 

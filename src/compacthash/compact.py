@@ -9,6 +9,7 @@ table never degrades under insert/delete churn.
 """
 
 from array import array
+from itertools import compress
 from typing import Iterator, NamedTuple
 
 from .errors import KeyOutOfRangeError, TableFullError
@@ -36,12 +37,8 @@ class CompactTable(OpenAddressTable):
         return self._live
 
     def keys(self) -> Iterator[int]:
-        """Yield each stored key once, in ascending slot order."""
-        pc = self._probe_counts
-        keys = self._keys
-        for i in range(self._capacity):
-            if pc[i]:
-                yield keys[i]
+        """Each stored key once, in ascending slot order."""
+        return compress(self._keys, self._probe_counts)
 
     def slot(self, index: int) -> Slot:
         return Slot(self._keys[index], self._probe_counts[index])

@@ -4,11 +4,11 @@ A workload is a deterministic function of its spec. The generator is
 splitmix64 (the identity recorded in trace headers), which is
 counter-based: draw i of the stream seeded with s is a fixed mixing
 function of s + i * gamma mod 2**64. A block of draws is therefore one
-wrapping numpy uint64 expression; the base phase of a workload is
-built 4,096 draws at a time, and SplitMix64 hands out further draws
-from blocks it refills. Churn rounds pick and draw their keys through
-LiveKeys, a batch per call, each draw at its index in the stream.
-Identical specs yield identical operation sequences forever. An
+wrapping numpy uint64 expression; a workload is built 4,096 draws
+at a time, and SplitMix64 hands out further draws from blocks it
+refills. The churn of `compacthash bench` picks and draws its keys
+through LiveKeys, a batch per call, each draw at its index in the
+stream. Identical specs yield identical operation sequences forever. An
 operation is a plain (kind, key) tuple, kind one of ADD, CONTAINS and
 REMOVE. The differential runner applies every operation to a compact
 table, a tombstone table, and a plain Python set, comparing all three
@@ -38,7 +38,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_BLOCK = 4096  # draws per SplitMix64 refill and per base-phase step; even
+_BLOCK = 4096  # draws per SplitMix64 refill and per workload step; even
 _MISS_LIMIT = 4096  # draws of live keys after which add_fresh gives up on a key
 _KINDS = np.array([ADD, CONTAINS, REMOVE], dtype=object)
 _KIND_TO_CHAR = {ADD: "a", CONTAINS: "c", REMOVE: "r"}
@@ -51,18 +51,15 @@ OpRecord = tuple[str, int]  # (kind, key): one replayable table operation
 class WorkloadSpec:
     """Deterministic recipe for an operation sequence.
 
-    key_universe is a half-open interval [lo, hi). The base phase draws
+    key_universe is a half-open interval [lo, hi). The workload is
     op_count operations with kinds weighted by mix and keys uniform over
-    the universe; each churn round then removes churn_batch currently
-    live keys and adds churn_batch fresh ones.
+    the universe.
     """
 
     seed: int
     op_count: int
     key_universe: tuple[int, int]
     mix: tuple[float, float, float] = (0.45, 0.35, 0.20)
-    churn_rounds: int = 0
-    churn_batch: int = 1
 
 
 def _draws(seed: int, start: int, n: int) -> np.ndarray:
@@ -165,19 +162,14 @@ class LiveKeys:
 def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
     """Expand spec into its operation sequence of (kind, key) tuples.
 
-    Base op i takes draws 2i (its kind, against the mix thresholds) and
-    2i + 1 (its key). Churn-round removals target keys that are live at
-    that point of the sequence (tracked by replaying set semantics), so
-    churn genuinely exercises deletion; churn additions draw until they
-    find a key that is not currently live.
+    Op i takes draws 2i (its kind, against the mix thresholds) and
+    2i + 1 (its key).
     """
     lo, hi = spec.key_universe
     if hi <= lo:
         raise EmptyKeyUniverseError(f"key universe [{lo}, {hi}) is empty")
     if spec.op_count < 1:
         raise ValueError(f"op_count must be positive, got {spec.op_count}")
-    if spec.churn_rounds < 0 or spec.churn_batch < 1:
-        raise ValueError("churn_rounds must be >= 0 and churn_batch >= 1")
     w_add, w_contains, w_remove = spec.mix
     if min(spec.mix) < 0 or w_add + w_contains + w_remove <= 0:
         raise ValueError(f"mix weights must be nonnegative and not all zero, got {spec.mix}")
@@ -191,7 +183,7 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
     thresholds = [np.uint64(t) for t in (t_add, t_contains) if t <= _MASK64]
     span = hi - lo
 
-    # the base phase goes a block of draws at a time, so its arrays and
+    # the workload goes a block of draws at a time, so its arrays and
     # intermediate lists stay small beside the op list
     n = spec.op_count
     ops: list[OpRecord] = []
@@ -204,31 +196,6 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:
         offsets = k % np.uint64(span) if span <= _MASK64 else k
         keys = map(lo.__add__, offsets.tolist())
         ops += zip(_KINDS[code].tolist(), keys)
-    if not spec.churn_rounds:
-        return ops
-
-    # the live keys in pick order, as LiveKeys keeps them
-    order, position = [], {}
-    for kind, key in ops:
-        if kind == ADD and key not in position:
-            position[key] = len(order)
-            order.append(key)
-        elif kind == REMOVE and key in position:
-            at, last = position.pop(key), order.pop()
-            if last != key:
-                order[at] = last
-                position[last] = at
-    live = LiveKeys(order)
-
-    next_u64 = SplitMix64(spec.seed + 2 * n * int(_GAMMA)).next_u64
-    batch = spec.churn_batch
-    for _ in range(spec.churn_rounds):
-        # no key turns live during the removals, so once none is left the
-        # rest of the batch removes keys drawn from the whole universe
-        picks = min(batch, len(live.keys))
-        ops += zip(repeat(REMOVE), live.pick(next_u64, picks))
-        ops += [(REMOVE, lo + next_u64() % span) for _ in range(batch - picks)]
-        ops += zip(repeat(ADD), live.add_fresh(next_u64, lo, span, batch))
     return ops
 
 

@@ -13,11 +13,19 @@ catches Exception lets it through; map_seeds then terminates its pool
 workers on the way out. A hang inside a C call that never returns to the
 interpreter is beyond its reach, and so is every hang on a platform
 without SIGALRM (Windows), where no deadline is armed.
+
+The "mutants" hypothesis profile skips the shrink phase. A run that
+only has to fail, as tests/mutants.py's runs on a mutant do, needs the
+failing example, not a minimal one; `--hypothesis-profile mutants`
+selects it, and without that flag hypothesis's own defaults stand.
 """
 
 import signal
 
 import pytest
+from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=[phase for phase in Phase if phase is not Phase.shrink])
 
 DEADLINE_S = 900
 

@@ -10,7 +10,9 @@ copies src/ to a temporary directory and first runs every named test
 there unmutated, which must pass. Then, one mutant at a time, it applies
 the replacement to the copy and runs that mutant's tests against it in
 one pytest subprocess under TIMEOUT_S, one subprocess at a time, and
-prints one JSON line per mutant with its status:
+prints one JSON line per mutant with its status. The subprocesses run
+under the "mutants" hypothesis profile of tests/conftest.py, which does
+not shrink a failing example:
 
 - killed: a test failed (its node ID is listed under "failed");
 - timeout: the run was stopped at the timeout;
@@ -131,11 +133,13 @@ MUTANTS = (
            "        for key in self.keys():\n",
            "        for key in reversed(list(self.keys())):\n",
            ("tests/test_compact.py::test_state_is_the_replay_of_the_live_keys",)),
-    # _first_free would then loop for ever on its next call; the twin test checks the shortcuts after every op
+    # _first_free would then loop for ever on its next call; the tombstone machine and the twin test
+    # check the shortcuts after every op
     Mutant("first-free-points-a-slot-at-itself", "tombstone.py",
            "            nxt[i], i = root, nxt.get(i, (i + step) % m)\n",
            "            nxt[i], i = i, nxt.get(i, (i + step) % m)\n",
-           ("tests/test_tombstone.py::test_plain_ops_match_their_counted_twins",)),
+           ("tests/test_model.py::TestTombstoneMachine::runTest",
+            "tests/test_tombstone.py::test_plain_ops_match_their_counted_twins")),
 )
 
 
@@ -146,8 +150,8 @@ def occurrences(mutant: Mutant, src: Path = SRC) -> int:
 
 def run_tests(tests, src: Path, cwd: Path) -> subprocess.CompletedProcess:
     """pytest on tests, importing compacthash from src; raises subprocess.TimeoutExpired."""
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           "-o", f"pythonpath={src}", *(str(REPO / t) for t in tests)]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-profile",
+           "mutants", "-o", f"pythonpath={src}", *(str(REPO / t) for t in tests)]
     # no bytecode cache: a mutant of the same size, written in the same second, would look fresh
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)

@@ -1,14 +1,12 @@
 """The splitmix64 stream and workload generator as they stood before block generation.
 
 ScalarSplitMix64 advances its state by the golden gamma and mixes it,
-one Python call per draw. generate_workload draws each base op's kind
-and key from that stream in turn and tracks the live keys as it goes.
-tests/test_harness.py requires the package's SplitMix64 and
-generate_workload to produce exactly what these do. Both are copied
-from the earlier compacthash.harness, unchanged but for the records,
-which are plain (kind, key) tuples as the package's are now, and the
-live keys, which this module keeps in its own list and key -> position
-dict instead of the package's LiveKeys.
+one Python call per draw. generate_workload draws each op's kind and
+key from that stream in turn. tests/test_harness.py requires the
+package's SplitMix64 and generate_workload to produce exactly what
+these do. Both are copied from the earlier compacthash.harness,
+unchanged but for the records, which are plain (kind, key) tuples as
+the package's are now.
 """
 
 from compacthash import ADD, CONTAINS, REMOVE, EmptyKeyUniverseError, WorkloadSpec
@@ -38,8 +36,6 @@ def generate_workload(spec: WorkloadSpec) -> list[tuple[str, int]]:
         raise EmptyKeyUniverseError(f"key universe [{lo}, {hi}) is empty")
     if spec.op_count < 1:
         raise ValueError(f"op_count must be positive, got {spec.op_count}")
-    if spec.churn_rounds < 0 or spec.churn_batch < 1:
-        raise ValueError("churn_rounds must be >= 0 and churn_batch >= 1")
     w_add, w_contains, w_remove = spec.mix
     if min(spec.mix) < 0 or w_add + w_contains + w_remove <= 0:
         raise ValueError(f"mix weights must be nonnegative and not all zero, got {spec.mix}")
@@ -52,50 +48,13 @@ def generate_workload(spec: WorkloadSpec) -> list[tuple[str, int]]:
     rng = ScalarSplitMix64(spec.seed)
     next_u64 = rng.next_u64
     ops: list[tuple[str, int]] = []
-    live_list: list[int] = []
-    live_index: dict[int, int] = {}
-
-    def track_add(key):
-        if key not in live_index:
-            live_index[key] = len(live_list)
-            live_list.append(key)
-
-    def track_remove(key):
-        at = live_index.pop(key, None)
-        if at is not None:
-            last = live_list.pop()
-            if at < len(live_list):
-                live_list[at] = last
-                live_index[last] = at
-
     for _ in range(spec.op_count):
         u = next_u64()
         key = lo + next_u64() % span
         if u < t_add:
             ops.append((ADD, key))
-            track_add(key)
         elif u < t_contains:
             ops.append((CONTAINS, key))
         else:
             ops.append((REMOVE, key))
-            track_remove(key)
-
-    for _ in range(spec.churn_rounds):
-        for _ in range(spec.churn_batch):
-            if live_list:
-                key = live_list[next_u64() % len(live_list)]
-            else:
-                key = lo + next_u64() % span
-            ops.append((REMOVE, key))
-            track_remove(key)
-        for _ in range(spec.churn_batch):
-            for _ in range(4096):
-                key = lo + next_u64() % span
-                if key not in live_index:
-                    break
-            else:
-                raise EmptyKeyUniverseError(
-                    f"could not draw a fresh key from [{lo}, {hi}) with {len(live_list)} keys live")
-            ops.append((ADD, key))
-            track_add(key)
     return ops

@@ -39,6 +39,17 @@ class TestFuzz:
         assert verdict["passed"] is False
         assert verdict["first_divergence"] or verdict["invariant_failures"]
 
+    def test_out_dir_that_is_a_file_exits_2_after_the_fail_line(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(CompactTable, "_compress", lambda self, free: (0, 0))
+        out_file = tmp_path / "taken"
+        out_file.write_text("")
+        code, out, err = run(capsys, "fuzz", "--seed-count", "1", "--capacity", "257", "--ops", "2000",
+                             "--check-every", "1", "--universe", "0:280", "--out-dir", str(out_file))
+        assert code == 2
+        assert out.startswith("seed 0: FAIL") and out.count("\n") == 1
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert out_file.read_text() == ""
+
     def test_negative_universe_is_given_with_equals(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--universe=-64:64", "--capacity", "64",
                            "--ops", "200", "--seed-count", "1")
@@ -221,11 +232,12 @@ class TestBench:
     (("bench", "--batch", "-1"), None),
     (("bench", "--rounds", "-1"), None),
     (("bench", "--batch", "-1", "--adversarial"), None),
+    (("bench", "--capacity", "64", "--live-target", "16", "--out-dir", "{path}"), ""),
 ], ids=["capacity-header", "step-header", "key-2^63", "trace-overfull-compact",
         "trace-overfull-tombstone", "trace-not-utf8", "fuzz-ops-0", "fuzz-check-every-0",
         "fuzz-seed-count-0", "fuzz-seed-count-neg", "fuzz-universe-abc", "fuzz-universe-5",
         "fuzz-universe-empty", "fuzz-universe-past-key-max", "fuzz-universe-2^64",
-        "bench-batch-neg", "bench-rounds-neg", "adversarial-batch-neg"])
+        "bench-batch-neg", "bench-rounds-neg", "adversarial-batch-neg", "bench-out-dir-is-a-file"])
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv, trace_text):
     path = tmp_path / "ops.trace"
     if isinstance(trace_text, bytes):

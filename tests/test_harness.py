@@ -88,16 +88,12 @@ def test_largest_draw_is_below_a_threshold_of_2_64_and_keeps_its_full_offset():
 REFERENCE_SPECS = {
     "seed 2**64 - 1": WorkloadSpec(2**64 - 1, 500, (0, 64)),
     "all add": WorkloadSpec(3, 500, (0, 64), mix=(1, 0, 0)),
-    "all add with churn": WorkloadSpec(3, 500, (0, 600), mix=(1, 0, 0), churn_rounds=5, churn_batch=7),
     "all remove": WorkloadSpec(4, 500, (0, 64), mix=(0, 0, 1)),
-    "all remove with churn": WorkloadSpec(4, 500, (0, 64), mix=(0, 0, 1), churn_rounds=3, churn_batch=2),
     "full signed range": WorkloadSpec(5, 500, (-(2**63), 2**63)),
-    "full signed range with churn": WorkloadSpec(5, 500, (-(2**63), 2**63), churn_rounds=4, churn_batch=9),
     "keys above int64": WorkloadSpec(6, 500, (2**63, 2**65)),
-    "keys below int64": WorkloadSpec(7, 500, (-(2**70), -(2**70) + 1000), churn_rounds=2, churn_batch=5),
-    "base phase across draw blocks": WorkloadSpec(9, 4097, (0, 1000), churn_rounds=2, churn_batch=3),
+    "keys below int64": WorkloadSpec(7, 500, (-(2**70), -(2**70) + 1000)),
+    "base phase across draw blocks": WorkloadSpec(9, 4097, (0, 1000)),
     "one op": WorkloadSpec(8, 1, (0, 10)),
-    "one op with churn": WorkloadSpec(8, 1, (0, 10), mix=(0, 1, 0), churn_rounds=2, churn_batch=3),
 }
 
 
@@ -116,18 +112,15 @@ weights = st.one_of(st.integers(0, 5), st.floats(0, 10, allow_nan=False, allow_i
        span=st.one_of(st.integers(1, 500), st.integers(1, 2**66),
                       st.sampled_from([2**63, 2**64 - 1, 2**64, 2**64 + 1])),
        mix=st.one_of(st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0.1, 0.2, 0)]),
-                     st.tuples(weights, weights, weights).filter(lambda m: sum(m) > 0)),
-       churn_rounds=st.sampled_from([0, 0, 1, 4]),
-       churn_batch=st.integers(1, 8))
-def test_generate_workload_matches_scalar_reference_property(seed, op_count, lo, span, mix,
-                                                             churn_rounds, churn_batch):
-    spec = WorkloadSpec(seed, op_count, (lo, lo + span), mix, churn_rounds, churn_batch)
+                     st.tuples(weights, weights, weights).filter(lambda m: sum(m) > 0)))
+def test_generate_workload_matches_scalar_reference_property(seed, op_count, lo, span, mix):
+    spec = WorkloadSpec(seed, op_count, (lo, lo + span), mix)
     assert generated(spec) == scalar_generated(spec)
 
 
 class TestGenerateWorkload:
     def test_same_spec_same_sequence(self):
-        spec = WorkloadSpec(seed=9, op_count=500, key_universe=(0, 64), churn_rounds=3, churn_batch=10)
+        spec = WorkloadSpec(seed=9, op_count=500, key_universe=(0, 64))
         assert generate_workload(spec) == generate_workload(spec)
 
     def test_different_seeds_differ(self):
@@ -154,36 +147,10 @@ class TestGenerateWorkload:
         with pytest.raises(ValueError):
             generate_workload(WorkloadSpec(seed=0, op_count=5, key_universe=(0, 10), mix=(1, -1, 1)))
 
-    def test_churn_appends_remove_then_add_batches(self):
-        spec = WorkloadSpec(seed=5, op_count=40, key_universe=(0, 400),
-                            mix=(1, 0, 0), churn_rounds=2, churn_batch=6)
-        ops = generate_workload(spec)
-        assert len(ops) == 40 + 2 * 12
-        for r in range(2):
-            base = 40 + r * 12
-            assert [kind for kind, _ in ops[base:base + 6]] == [REMOVE] * 6
-            assert [kind for kind, _ in ops[base + 6:base + 12]] == [ADD] * 6
-
-    def test_churn_removes_hit_live_keys_and_adds_are_fresh(self):
-        spec = WorkloadSpec(seed=6, op_count=60, key_universe=(0, 500),
-                            mix=(1, 0, 0), churn_rounds=4, churn_batch=8)
-        live = set()
-        for i, (kind, key) in enumerate(generate_workload(spec)):
-            if kind == ADD:
-                hit = key not in live
-                live.add(key)
-            else:
-                assert kind == REMOVE  # the mix draws no lookups
-                hit = key in live
-                live.discard(key)
-            if i >= 60:
-                assert hit, f"churn op {i} missed: {(kind, key)}"
-
 
 MIX = (0.45, 0.35, 0.20)
-LARGE_CHURN_SPEC = WorkloadSpec(0, 50_000, (0, 131072), MIX, churn_rounds=20, churn_batch=500)
-# two keys, both live after the base phase, so the churn replay runs out of fresh keys
-RAISING_CHURN_SPEC = WorkloadSpec(0, 10, (0, 2), (1, 0, 0), churn_rounds=1, churn_batch=5)
+LARGE_SPEC = WorkloadSpec(0, 70_000, (0, 131072), MIX)
+RAISING_SPEC = WorkloadSpec(0, 10, (0, 0), MIX)  # an empty universe
 
 
 class OneKeyLiveKeys:
@@ -295,12 +262,12 @@ class TestCollectorLeftAlone:
 
         gc.callbacks.append(hook)
         try:
-            ops = generate_workload(LARGE_CHURN_SPEC)
+            ops = generate_workload(LARGE_SPEC)
         finally:
             gc.callbacks.remove(hook)
         assert gc.isenabled() is enabled
         assert bool(started) is enabled
-        assert len(ops) == 50_000 + 20 * 2 * 500
+        assert len(ops) == 70_000
         assert all(type(op) is tuple and len(op) == 2 and type(op[0]) is str and type(op[1]) is int
                    for op in ops)
         gc.collect()
@@ -311,7 +278,7 @@ class TestCollectorLeftAlone:
         if not enabled:
             gc.disable()
         with pytest.raises(EmptyKeyUniverseError):
-            generate_workload(RAISING_CHURN_SPEC)
+            generate_workload(RAISING_SPEC)
         assert gc.isenabled() is enabled
 
 
@@ -400,7 +367,7 @@ class TestRunDifferential:
         assert d.oracle_result is True
 
     def test_deterministic_replay(self):
-        spec = WorkloadSpec(seed=11, op_count=2000, key_universe=(0, 80), churn_rounds=2, churn_batch=30)
+        spec = WorkloadSpec(seed=11, op_count=2000, key_universe=(0, 80))
         ops = generate_workload(spec)
         a = run_differential(ops, TableParams(127, 3), check_every=100)
         b = run_differential(ops, TableParams(127, 3), check_every=100)

@@ -14,7 +14,9 @@ it checks that:
 - capacity changes only on an insert that places a key and pushes the
   growth count over GROWTH_LOAD_FACTOR;
 - the keys are the set's and check_invariants passes;
-- a TombstoneTable's _slot_of is the key-to-slot map of its BUSY slots.
+- a TombstoneTable's _slot_of is the key-to-slot map of its BUSY slots,
+  and each of its next-FREE shortcuts leads along its path past non-FREE
+  slots only.
 """
 
 from dataclasses import replace
@@ -27,7 +29,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from compacthash import (BUSY, FREE, CapacityTooSmallError, CompactTable, KeyOutOfRangeError,
                          TableFullError, TombstoneTable, check_invariants)
 from compacthash.probing import GROWTH_LOAD_FACTOR, GROWTH_MULTIPLIER, KEY_MAX, KEY_MIN
-from twin_ops import table_params
+from twin_ops import assert_shortcuts_valid, table_params
 
 MACHINE_SETTINGS = settings(max_examples=200, stateful_step_count=50, deadline=None)
 
@@ -169,6 +171,10 @@ class TombstoneMachine(TableMachine):
         t = self.table
         cells = (t.slot(i) for i in range(t.capacity))
         assert t._slot_of == {cell.key: i for i, cell in enumerate(cells) if cell.state == BUSY}
+
+    @invariant()
+    def shortcuts_are_valid(self):
+        assert_shortcuts_valid(self.table)
 
 
 TestCompactMachine = CompactMachine.TestCase

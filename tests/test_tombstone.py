@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from compacthash import (BUSY, DELETED, FREE, CapacityTooSmallError, TableFullError,
                          TableParams, TombstoneTable, check_invariants)
 from compacthash.probing import KEY_MAX, KEY_MIN
-from twin_ops import outcome, twin_cases
+from twin_ops import assert_shortcuts_valid, outcome, twin_cases
 
 
 def build(capacity, step=1, keys=(), **kw):
@@ -399,18 +399,6 @@ def test_plain_ops_match_their_counted_twins(case):
         assert plain._slot_of == counted._slot_of
         assert plain._next_free == {}
         assert_shortcuts_valid(counted)
-
-
-def assert_shortcuts_valid(table):
-    """Each next-FREE shortcut maps a non-FREE slot to a later slot on its
-    path, with only non-FREE slots strictly between."""
-    m, step = table.capacity, table.params.step
-    for slot, target in table._next_free.items():
-        assert table.slot(slot).state != FREE
-        i = (slot + step) % m
-        while i != target:
-            assert i != slot and table.slot(i).state != FREE
-            i = (i + step) % m
 
 
 def test_plain_lookups_write_nothing():

@@ -3,14 +3,15 @@
 table_params draws any accepted TableParams up to a capacity; twin_cases
 draws them at capacities 1-23, with ops on keys that stress both paths,
 for the tests that hold each table's plain ops to their counted twins;
-outcome turns an op's answer or error into a value two runs can compare.
+outcome turns an op's answer or error into a value two runs can compare;
+assert_shortcuts_valid checks a TombstoneTable's next-FREE shortcuts.
 """
 
 from math import gcd
 
 from hypothesis import strategies as st
 
-from compacthash import KeyOutOfRangeError, TableFullError, TableParams
+from compacthash import FREE, KeyOutOfRangeError, TableFullError, TableParams
 from compacthash.probing import KEY_MAX, KEY_MIN
 
 
@@ -41,3 +42,15 @@ def outcome(call, key):
         return call(key)
     except (TypeError, KeyOutOfRangeError, TableFullError) as e:
         return type(e), str(e)
+
+
+def assert_shortcuts_valid(table):
+    """Each next-FREE shortcut maps a non-FREE slot to a later slot on its
+    path, with only non-FREE slots strictly between."""
+    m, step = table.capacity, table.params.step
+    for slot, target in table._next_free.items():
+        assert table.slot(slot).state != FREE
+        i = (slot + step) % m
+        while i != target:
+            assert i != slot and table.slot(i).state != FREE
+            i = (i + step) % m
