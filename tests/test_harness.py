@@ -89,9 +89,13 @@ REFERENCE_SPECS = {
     "seed 2**64 - 1": WorkloadSpec(2**64 - 1, 500, (0, 64)),
     "all add": WorkloadSpec(3, 500, (0, 64), mix=(1, 0, 0)),
     "all remove": WorkloadSpec(4, 500, (0, 64), mix=(0, 0, 1)),
+    "all lookup": WorkloadSpec(8, 500, (0, 64), mix=(0, 1, 0)),  # one threshold below 2**64
     "full signed range": WorkloadSpec(5, 500, (-(2**63), 2**63)),
+    "largest span taken modulo": WorkloadSpec(10, 500, (-5, 2**64 - 6)),
+    "one key": WorkloadSpec(11, 500, (7, 8)),
     "keys above int64": WorkloadSpec(6, 500, (2**63, 2**65)),
     "keys below int64": WorkloadSpec(7, 500, (-(2**70), -(2**70) + 1000)),
+    "base phase filling one draw block": WorkloadSpec(12, 2048, (0, 1000)),
     "base phase across draw blocks": WorkloadSpec(9, 4097, (0, 1000)),
     "one op": WorkloadSpec(8, 1, (0, 10)),
 }
