@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .compact import CompactTable
 from .errors import CompactHashError, TableFullError, TraceParseError
-from .harness import (ADD, CONTAINS, GENERATOR_ID, REMOVE, LiveKeys, SplitMix64, WorkloadSpec,
+from .harness import (ADD, CONTAINS, GENERATOR_ID, REMOVE, LiveKeys, WorkloadSpec,
                       format_trace, generate_workload, parse_trace, run_differential)
 from .introspect import probe_stats
 from .probing import KEY_MAX, KEY_MIN, TableParams
@@ -124,9 +124,8 @@ def cmd_bench(args) -> int:
     # twins; tombstone's plain ops skip the count
     c_insert, c_remove = compact.insert_counted, compact.remove_counted
     t_insert, t_remove = tombstone.insert, tombstone.remove
-    next_u64 = SplitMix64(args.seed).next_u64
-    live = LiveKeys()
-    for key in live.add_fresh(next_u64, KEY_MIN, 1 << 64, args.live_target):
+    live = LiveKeys(args.seed)
+    for key in live.add_fresh(args.live_target):
         c_insert(key)
         t_insert(key)
 
@@ -142,14 +141,14 @@ def cmd_bench(args) -> int:
         relocations = 0
         removals = min(args.batch, len(live.keys))
         compress_ops += removals
-        for key in live.pick(next_u64, removals):
+        for key in live.pick(removals):
             _, _find, scan, moved = c_remove(key)
             relocations += moved
             compress_slots += scan
             t_remove(key)
         inserts = min(args.batch, args.capacity - 1 - len(compact))
         insert_ops += inserts
-        for key in live.add_fresh(next_u64, KEY_MIN, 1 << 64, inserts):
+        for key in live.add_fresh(inserts):
             insert_slots += c_insert(key)[1]
             try:
                 t_insert(key)

@@ -30,7 +30,7 @@ class CapacityTooSmallError(CompactHashError):
 
 
 class EmptyKeyUniverseError(CompactHashError):
-    """Workload key universe is empty or exhausted."""
+    """Workload key universe is empty."""
 
 
 class TraceParseError(CompactHashError):

@@ -7,8 +7,9 @@ function of s + i * gamma mod 2**64. A block of draws is therefore one
 wrapping numpy uint64 expression; a workload is built 4,096 draws
 at a time, and SplitMix64 hands out further draws from blocks it
 refills. The churn of `compacthash bench` picks and draws its keys
-through LiveKeys, a batch per call, each draw at its index in the
-stream. Identical specs yield identical operation sequences forever. An
+through LiveKeys, which owns its stream: a batch per call, each draw at
+its index in the stream, and every drawn key fresh by construction.
+Identical specs yield identical operation sequences forever. An
 operation is a plain (kind, key) tuple, kind one of ADD, CONTAINS and
 REMOVE. The differential runner applies every operation to a compact
 table, a tombstone table, and a plain Python set, comparing all three
@@ -16,9 +17,9 @@ return values and periodically running the structural invariant checker.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain, count, islice, repeat, starmap
+from itertools import chain, count, repeat, starmap
 from operator import mod
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -39,7 +40,6 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _BLOCK = 4096  # draws per SplitMix64 refill and per workload step; even
-_MISS_LIMIT = 4096  # draws of live keys after which add_fresh gives up on a key
 _KINDS = np.array([ADD, CONTAINS, REMOVE], dtype=object)
 _KIND_TO_CHAR = {ADD: "a", CONTAINS: "c", REMOVE: "r"}
 _CHAR_TO_KIND = {"a": ADD, "c": CONTAINS, "r": REMOVE}
@@ -93,25 +93,26 @@ class SplitMix64:
 
 
 class LiveKeys:
-    """The live keys, for seeded uniform picks and fresh-key draws.
+    """The live keys of a churn, for seeded uniform picks and fresh keys.
 
-    keys lists them, distinct, in pick order, and members holds them as a
-    set. Removal moves the last key into the freed position, so the order
-    of keys, and with it every pick, depends only on the sequence of calls.
-    pick and add_fresh take a batch's draws through C-level iterators, yet
-    each consumes exactly the draws, at the same stream indices, that the
-    same keys taken one call at a time would, a call that raises included,
-    so a caller that draws nothing between a batch's keys may take them all
-    before it uses any.
+    keys lists them, distinct, in pick order, and next_u64 is the
+    splitmix64 stream of the seed, from which every pick and key is drawn.
+    Removal moves the last key into the freed position, so the order of
+    keys, and with it every pick, depends only on the seed and the sequence
+    of calls. A fresh key is KEY_MIN plus a draw. Draw i is a bijective mix
+    of seed + (i + 1) * gamma, and gamma is odd, so one stream repeats no
+    value within 2**64 draws; since LiveKeys starts empty and holds only
+    draws of its own stream, a drawn key is never live, and add_fresh looks
+    none up.
     """
 
-    __slots__ = ("keys", "members")
+    __slots__ = ("keys", "next_u64")
 
-    def __init__(self, keys: Iterable[int] = ()):
-        self.keys: list[int] = list(keys)
-        self.members: set[int] = set(self.keys)
+    def __init__(self, seed: int):
+        self.keys: list[int] = []
+        self.next_u64 = SplitMix64(seed).next_u64
 
-    def pick(self, next_u64: Callable[[], int], n: int) -> list[int]:
+    def pick(self, n: int) -> list[int]:
         """Remove and return n live keys, each the one at next_u64() % len(keys) when its turn comes.
 
         Raises ValueError, before it draws, unless 0 <= n <= len(keys).
@@ -121,42 +122,17 @@ class LiveKeys:
             raise ValueError(f"cannot pick {n} of {size} live keys")
         picked = []
         take, pop = picked.append, keys.pop
-        for at in map(mod, starmap(next_u64, repeat((), n)), range(size, size - n, -1)):
+        for at in map(mod, starmap(self.next_u64, repeat((), n)), range(size, size - n, -1)):
             take(keys[at])
             keys[at] = keys[-1]
             pop()
-        self.members.difference_update(picked)
         return picked
 
-    def add_fresh(self, next_u64: Callable[[], int], lo: int, span: int, n: int) -> list[int]:
-        """Add and return n keys, each the first lo + next_u64() % span not live at its turn.
-
-        Raises EmptyKeyUniverseError after 4,096 draws of live keys for one
-        key; the keys added before it stay added.
-        """
-        keys, members, start = self.keys, self.members, len(self.keys)
-        draws = map(lo.__add__, map(span.__rmod__, starmap(next_u64, repeat(()))))
-        while (added := len(keys) - start) < n:
-            # A batch of distinct candidates, none live, is the next keys.
-            # Otherwise the rest go one at a time, over the batch and then
-            # single draws; a batch holds at most _MISS_LIMIT candidates,
-            # so even a key that raises has examined every one drawn.
-            batch = list(islice(draws, min(n - added, _MISS_LIMIT)))
-            if len(set(batch)) == len(batch) and members.isdisjoint(batch):
-                members.update(batch)
-                keys += batch
-                continue
-            draws = chain(batch, draws)
-            for _ in range(n - added):
-                misses = 0
-                while (key := next(draws)) in members:
-                    misses += 1
-                    if misses == _MISS_LIMIT:
-                        raise EmptyKeyUniverseError(
-                            f"could not draw a fresh key from [{lo}, {lo + span}) with {len(keys)} keys live")
-                members.add(key)
-                keys.append(key)
-        return keys[start:]
+    def add_fresh(self, n: int) -> list[int]:
+        """Add and return n fresh keys, KEY_MIN plus each of the next n draws."""
+        fresh = list(map(KEY_MIN.__add__, starmap(self.next_u64, repeat((), n))))
+        self.keys += fresh
+        return fresh
 
 
 def generate_workload(spec: WorkloadSpec) -> list[OpRecord]:

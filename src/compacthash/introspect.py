@@ -193,8 +193,6 @@ def _check_compact(table: CompactTable) -> ViolationReport:
         report.violations.append(Violation(-1, COUNT_MISMATCH, f"live_count {len(table)} but {live} busy slots"))
     if live > m - 1:
         report.violations.append(Violation(-1, COUNT_MISMATCH, f"occupancy cap violated: {live} busy of {m} slots"))
-    if live == 0:
-        return report
     # a count outside 1..m, negative ones included, is a count - 1 of m or more as uint64
     bad_range = (counts - 1).view(np.uint64) >= m
     for s in busy[_by_slot(np.flatnonzero(bad_range), busy)]:
@@ -262,8 +260,6 @@ def _check_tombstone(table: TombstoneTable) -> ViolationReport:
             -1, COUNT_MISMATCH, f"non_free_count {table.non_free_count} but {non_free} non-FREE slots"))
     if non_free > m - 1:
         report.violations.append(Violation(-1, COUNT_MISMATCH, f"occupancy cap violated: {non_free} non-FREE of {m} slots"))
-    if live == 0:
-        return report
     report.violations.extend(_dup_violations(kb, busy))
     idx = _by_slot(np.flatnonzero(gap), busy)
     free_on_path = dist[idx] - _occupied_before(cp, cpos[idx], dist[idx], m)
@@ -287,21 +283,21 @@ def probe_stats(table: AnyTable) -> ProbeStats:
     capacity home positions, the cost of an unsuccessful lookup
     (terminating empty/FREE slot included).
     """
+    if not isinstance(table, (CompactTable, TombstoneTable)):
+        raise TypeError(f"unsupported table type {type(table).__name__}")
     m = table.capacity
     step = table.params.step
     if isinstance(table, CompactTable):
         pc = np.frombuffer(table._probe_counts, dtype=np.int64)
-        cp, _, costs = _occupied_in_cycle(pc > 0, pc, step)
+        cp, _, costs = _occupied_in_cycle(pc != 0, pc, step)
         tombstones = 0
-    elif isinstance(table, TombstoneTable):
+    else:
         st = np.frombuffer(table._states, dtype=np.int8)
         keys = np.frombuffer(table._keys, dtype=np.int64)
         cp, slots, marks = _occupied_in_cycle(st != FREE, st, step)
         rank = np.flatnonzero(marks == BUSY)
         costs = (cp[rank] - keys[slots[rank]] % m * pow(step, -1, m)) % m + 1
         tombstones = int(np.count_nonzero(marks == DELETED))
-    else:
-        raise TypeError(f"unsupported table type {type(table).__name__}")
 
     histogram = {int(v): int(c) for v, c in enumerate(np.bincount(costs)) if v and c}
     mean_success = float(costs.mean()) if costs.size else 0.0

@@ -87,9 +87,9 @@ MUTANTS = (
            "    if type(check_every) is not int or check_every < 1:\n",
            "    if check_every < 1:\n",
            ("tests/test_harness.py::TestRunDifferential::test_rejects_bad_check_every",)),
-    Mutant("live-keys-pick-leaves-members", "harness.py",
-           "        self.members.difference_update(picked)\n",
-           "",
+    Mutant("live-keys-fresh-key-off-by-one", "harness.py",
+           "map(KEY_MIN.__add__, ",
+           "map((KEY_MIN + 1).__add__, ",
            ("tests/test_harness.py::test_batched_live_keys_match_one_key_calls",)),
     Mutant("checker-signed-invalid-state", "introspect.py",
            "    invalid = marks.view(np.uint8) > DELETED\n",

@@ -223,16 +223,15 @@ def test_criterion_5():
     # their ratio is about 1 + load/2 (README)
     params = TableParams(CAPACITY, 1)
     table = CompactTable(params)
-    rng = SplitMix64(2025)
-    live = LiveKeys()
-    for key in live.add_fresh(rng.next_u64, -2**63, 2**64, PARITY_KEYS):
+    live = LiveKeys(2025)
+    for key in live.add_fresh(PARITY_KEYS):
         table.insert(key)
     insert_slots = compress_slots = 0
     pairs = 50_000  # 100,000 churn operations
     for _ in range(pairs):
-        _, _find, scan, _moved = table.remove_counted(live.pick(rng.next_u64, 1)[0])
+        _, _find, scan, _moved = table.remove_counted(live.pick(1)[0])
         compress_slots += scan
-        _, n = table.insert_counted(live.add_fresh(rng.next_u64, -2**63, 2**64, 1)[0])
+        _, n = table.insert_counted(live.add_fresh(1)[0])
         insert_slots += n
     means = {"insert": insert_slots / pairs, "compress-scan": compress_slots / pairs}
     gap = abs(means["insert"] - means["compress-scan"]) / means["insert"]
@@ -258,19 +257,18 @@ def test_compaction_wins_misses_and_tombstones_win_fresh_placement():
     m, rebuild_every, churn_ops = 1024, 205, 4096
     params = TableParams(m, 1)
     compact, tombstone = CompactTable(params), TombstoneTable(params)
-    rng = SplitMix64(1)
-    live = LiveKeys()
-    for key in live.add_fresh(rng.next_u64, -2**63, 2**64, round(0.8 * m)):
+    live = LiveKeys(1)
+    for key in live.add_fresh(round(0.8 * m)):
         compact.insert(key)
         tombstone.insert(key)
     slots = {"compact miss": 0, "tombstone miss": 0, "compact insert": 0, "tombstone placement": 0}
     for op in range(churn_ops):
         if op % rebuild_every == 0:
             tombstone = tombstone.rehash(params)
-        victim = live.pick(rng.next_u64, 1)[0]
+        victim = live.pick(1)[0]
         compact.remove(victim)
         tombstone.remove(victim)
-        key = live.add_fresh(rng.next_u64, -2**63, 2**64, 1)[0]
+        key = live.add_fresh(1)[0]
         slots["compact miss"] += compact.contains_counted(key)[1]
         slots["tombstone miss"] += tombstone.contains_counted(key)[1]
         slots["compact insert"] += compact.insert_counted(key)[1]
@@ -288,7 +286,7 @@ def _clean_empty_ok(capacity, step, key_count, seeds=20):
     fresh = CompactTable(params).state_bytes()
     for seed in seeds if isinstance(seeds, range) else range(seeds):
         rng = SplitMix64(seed * 7919 + 13)
-        keys = LiveKeys().add_fresh(rng.next_u64, -2**63, 2**64, key_count)
+        keys = [-2**63 + rng.next_u64() for _ in range(key_count)]
         compact = CompactTable(params)
         tombstone = TombstoneTable(params)
         ever_busy = set()

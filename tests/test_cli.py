@@ -1,7 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import compacthash.cli
 from compacthash import CompactTable, TombstoneTable, parse_trace
@@ -270,3 +275,91 @@ def test_unallocatable_capacity_exits_2_with_one_error_line(capsys, tmp_path, ar
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ("MemoryError" if capacity == 2**62 else "OverflowError") in err
+
+
+# Drawn argv for the property test below, each bounded so that a draw
+# does little work: at most 4,096 slots, 300 ops, 3 seeds and 4 rounds.
+# A huge capacity is drawn only at 2**62 and above, where the slot arrays
+# fail their size check before any memory is requested; ops, rounds and
+# seeds are never drawn huge. A huge --batch or --live-target is safe: a
+# churn round takes at most the capacity's keys, and either is refused
+# against a small capacity before any work, or meets a huge one that
+# fails to allocate.
+JUNK = st.sampled_from(["", "abc", "1.5", "0x10", "1e3", " 7"])
+HUGE = st.sampled_from([2**62, 2**63, 2**64 + 1, 10**20]).map(str)
+
+
+def mostly(valid, *invalid):
+    """valid in 7 draws of 8, else one of invalid or junk."""
+    return st.integers(0, 7).flatmap(lambda r: valid if r else st.one_of(JUNK, *invalid))
+
+
+def ints(lo, hi, *invalid):
+    """Values in [lo, hi] mostly, else off by one below, negative, junk or one of invalid."""
+    return mostly(st.integers(lo, hi).map(str), st.sampled_from([str(lo - 1), "-1", "-7"]), *invalid)
+
+
+CAPACITY = mostly(st.integers(1, 4096).map(str), st.sampled_from(["0", "-1", "-4096"]), HUGE)
+STEP = mostly(st.sampled_from(["1", "3"]) | st.integers(1, 64).map(str), st.sampled_from(["0", "-1"]), HUGE)
+SEED = mostly(st.integers(-2**70, 2**70).map(str))
+UNIVERSE = mostly(st.tuples(st.integers(-64, 64), st.integers(-64, 8192)).map("{0[0]}:{0[1]}".format),
+                  st.tuples(st.integers(-2**64, 2**64), st.integers(-2**64, 2**64)).map("{0[0]}:{0[1]}".format),
+                  st.sampled_from(["5", "3:3", ":", "a:b", "0:"]))
+PATHS = ("missing", "directory", "file", "valid-trace", "bad-trace", "not-utf8-trace")
+
+FLAGS = {
+    "fuzz": {"--seed-start": SEED, "--seed-count": ints(1, 3), "--capacity": CAPACITY, "--step": STEP,
+             "--ops": ints(1, 300), "--check-every": ints(1, 300, HUGE), "--universe": UNIVERSE,
+             "--out-dir": st.sampled_from(PATHS)},
+    "trace": {"--table": st.sampled_from(["compact", "tombstone", "other", ""]), "--capacity": CAPACITY,
+              "--step": STEP},
+    "bench": {"--capacity": CAPACITY, "--step": STEP, "--live-target": ints(1, 4096, HUGE),
+              "--rounds": ints(0, 4), "--batch": ints(0, 300, HUGE), "--seed": SEED,
+              "--format": st.sampled_from(["csv", "json", "xml", ""]), "--out-dir": st.sampled_from(PATHS)},
+}
+# the flags whose defaults ask for much work are always given
+REQUIRED = {"fuzz": {"--seed-count", "--capacity", "--ops", "--out-dir"}, "trace": set(),
+            "bench": {"--capacity", "--live-target", "--rounds", "--batch"}}
+TRACE_TEXT = {"valid-trace": "# capacity=7 step=3\na 1\na 8\nc 8\nr 1\nc 15\n",
+              "bad-trace": "# capacity=7\na 1\nx 2\n"}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and some of its flags, each a drawn value or a path name; sometimes a stray argument."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[command]
+    chosen = REQUIRED[command] | set(draw(st.lists(st.sampled_from(sorted(flags)), unique=True)))
+    argv = [command]
+    if command == "trace":
+        argv.append(draw(st.sampled_from(PATHS)))
+    for flag in sorted(chosen):
+        value = draw(flags[flag], label=flag)
+        # a value that starts with "-" is given with "=", as a negative --universe must be
+        argv += [f"{flag}={value}"] if value.startswith("-") else [flag, value]
+    if command == "bench" and draw(st.booleans(), label="adversarial"):
+        argv.append("--adversarial")
+    if draw(st.integers(0, 9), label="stray") == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "-x"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_every_argv_exits_0_1_or_2_and_a_2_with_one_error_line(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "directory").mkdir()
+        (root / "file").write_text("")
+        for name, text in TRACE_TEXT.items():
+            (root / name).write_text(text)
+        (root / "not-utf8-trace").write_bytes(b"a 1\n\xff\xfe\n")
+        argv = [str(root / a) if a in PATHS else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1, err

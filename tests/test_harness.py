@@ -11,7 +11,8 @@ from compacthash import (ADD, CONTAINS, REMOVE, CompactTable, Divergence, EmptyK
                          InvariantFailure, SplitMix64, TableParams, TombstoneTable,
                          TraceParseError, Verdict, ViolationReport, WorkloadSpec, format_trace,
                          generate_workload, parse_trace, run_differential)
-from compacthash.harness import LiveKeys
+from compacthash.harness import LiveKeys, _draws
+from compacthash.probing import KEY_MIN
 
 GAMMA = 0x9E3779B97F4A7C15
 
@@ -60,15 +61,36 @@ class TestSplitMix64:
         assert draws(2**64 - 1 + skip * GAMMA, 5) == scalar_draws(2**64 - 1, skip + 5)[skip:]
 
 
-def seed_with_draw(u: int, i: int) -> int:
-    """The seed whose draw i (counting from 0) is u, found by inverting the mix."""
+def unmix(u: int) -> int:
+    """The counter that splitmix64's finalizer maps to u.
+
+    The multipliers are odd, so each has an inverse mod 2**64, and at the
+    finalizer's shifts (s >= 22) z ^= z >> s is undone by
+    z ^= z >> s ^ z >> 2s: the shift repeated until it passes 64 bits.
+    """
     z = u
     z ^= z >> 31 ^ z >> 62
     z = z * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
     z ^= z >> 27 ^ z >> 54
     z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
     z ^= z >> 30 ^ z >> 60
-    return (z - (i + 1) * GAMMA) % 2**64
+    return z
+
+
+def seed_with_draw(u: int, i: int) -> int:
+    """The seed whose draw i (counting from 0) is u, found by inverting the mix."""
+    return (unmix(u) - (i + 1) * GAMMA) % 2**64
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1])
+def test_each_draw_unmixes_to_its_own_counter(seed):
+    # draw i is the finalizer of seed + (i + 1) * gamma, and the finalizer
+    # has an inverse, so it is a bijection; gamma is odd, so the counters of
+    # 2**64 draws differ, and one stream repeats no value within 2**64
+    # draws: the freshness LiveKeys.add_fresh rests on. Draws 4090-4101
+    # cross the end of the first 4,096-draw block.
+    got = _draws(seed, 4090, 12).tolist()
+    assert [unmix(u) for u in got] == [(seed + (i + 1) * GAMMA) % 2**64 for i in range(4090, 4102)]
 
 
 def test_largest_draw_is_below_a_threshold_of_2_64_and_keeps_its_full_offset():
@@ -151,6 +173,11 @@ class TestGenerateWorkload:
         with pytest.raises(ValueError):
             generate_workload(WorkloadSpec(seed=0, op_count=5, key_universe=(0, 10), mix=(1, -1, 1)))
 
+    @pytest.mark.parametrize("op_count", [0, -1])
+    def test_rejects_an_op_count_below_one(self, op_count):
+        with pytest.raises(ValueError, match=rf"^op_count must be positive, got {op_count}$"):
+            generate_workload(WorkloadSpec(seed=0, op_count=op_count, key_universe=(0, 10)))
+
 
 MIX = (0.45, 0.35, 0.20)
 LARGE_SPEC = WorkloadSpec(0, 70_000, (0, 131072), MIX)
@@ -161,17 +188,20 @@ class OneKeyLiveKeys:
     """The live keys as a list and a key -> position dict, taken one key and one draw at a time.
 
     The reference that LiveKeys' batched calls must match: removal moves
-    the last key into the freed position.
+    the last key into the freed position, and a fresh key is the first
+    KEY_MIN + draw that is not live at its turn. LiveKeys looks no key up,
+    so the two agree only while no drawn key is ever live.
     """
 
-    def __init__(self, keys: list[int]):
-        self.keys = list(keys)
-        self.position = {key: at for at, key in enumerate(self.keys)}
+    def __init__(self, seed: int):
+        self.keys = []
+        self.position = {}
+        self.next_u64 = SplitMix64(seed).next_u64
 
-    def pick(self, next_u64, n: int) -> list[int]:
+    def pick(self, n: int) -> list[int]:
         picked = []
         for _ in range(n):
-            key = self.keys[next_u64() % len(self.keys)]
+            key = self.keys[self.next_u64() % len(self.keys)]
             at, last = self.position.pop(key), self.keys.pop()
             if last != key:
                 self.keys[at] = last
@@ -179,66 +209,37 @@ class OneKeyLiveKeys:
             picked.append(key)
         return picked
 
-    def add_fresh(self, next_u64, lo: int, span: int, n: int) -> list[int]:
+    def add_fresh(self, n: int) -> list[int]:
         fresh = []
         for _ in range(n):
-            for _ in range(4096):
-                key = lo + next_u64() % span
-                if key not in self.position:
-                    break
-            else:
-                raise EmptyKeyUniverseError(
-                    f"could not draw a fresh key from [{lo}, {lo + span}) with {len(self.keys)} keys live")
+            while (key := KEY_MIN + self.next_u64()) in self.position:
+                pass
             self.position[key] = len(self.keys)
             self.keys.append(key)
             fresh.append(key)
         return fresh
 
 
-def outcome(call, *args):
-    try:
-        return call(*args)
-    except EmptyKeyUniverseError as e:
-        return str(e)
-
-
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), lo=st.integers(-20, 20), span=st.integers(1, 10),
-       start=st.lists(st.integers(0, 9), max_size=10),
+@given(seed=st.integers(0, 2**64 - 1),
        calls=st.lists(st.tuples(st.sampled_from(["pick", "add_fresh"]), st.integers(0, 11)), max_size=8))
-# n = 0, every live key picked, one more than is live, then fresh keys until the universe is full
-@example(seed=0, lo=0, span=3, start=[0, 2],
-         calls=[("pick", 0), ("add_fresh", 0), ("pick", 2), ("pick", 1), ("add_fresh", 3), ("add_fresh", 1),
-                ("pick", 3)])
-# candidates 8, 6, 8: a repeat inside one batch, with no key live
-@example(seed=9, lo=0, span=10, start=[], calls=[("add_fresh", 3)])
-# candidates 5, 0, 9: distinct, and 0 is live
-@example(seed=0, lo=0, span=10, start=[0, 1], calls=[("add_fresh", 3)])
-# a call of more than 4,096 keys that raises once the 5 keys are live
-@example(seed=2, lo=-2, span=5, start=[1], calls=[("add_fresh", 5000), ("pick", 5), ("add_fresh", 4097)])
-def test_batched_live_keys_match_one_key_calls(seed, lo, span, start, calls):
-    keys = list(dict.fromkeys(lo + offset % span for offset in start))
-    live, ref = LiveKeys(keys), OneKeyLiveKeys(keys)
-    draw, ref_draw = SplitMix64(seed).next_u64, SplitMix64(seed).next_u64
+# n = 0, every live key picked, one more than is live
+@example(seed=0, calls=[("pick", 0), ("add_fresh", 0), ("add_fresh", 3), ("pick", 2), ("pick", 1), ("pick", 1)])
+# calls that cross the 4,096-draw blocks of the stream
+@example(seed=2, calls=[("add_fresh", 5000), ("pick", 4999), ("add_fresh", 4097)])
+def test_batched_live_keys_match_one_key_calls(seed, calls):
+    live, ref = LiveKeys(seed), OneKeyLiveKeys(seed)
     for kind, n in calls:
         if kind == "pick":
             if n > len(ref.keys):
                 with pytest.raises(ValueError, match=rf"^cannot pick {n} of {len(ref.keys)} live keys$"):
-                    live.pick(draw, n)
+                    live.pick(n)
             else:
-                assert live.pick(draw, n) == ref.pick(ref_draw, n)
+                assert live.pick(n) == ref.pick(n)
         else:
-            assert outcome(live.add_fresh, draw, lo, span, n) == outcome(ref.add_fresh, ref_draw, lo, span, n)
-        assert live.keys == ref.keys and live.members == set(ref.position)
-        assert draw() == ref_draw()
-
-
-def test_add_fresh_from_a_full_universe_raises_after_adding_the_keys_before():
-    live = LiveKeys([5])
-    draw = SplitMix64(1).next_u64
-    with pytest.raises(EmptyKeyUniverseError, match=r"^could not draw a fresh key from \[4, 7\) with 3 keys live$"):
-        live.add_fresh(draw, 4, 3, 3)
-    assert sorted(live.keys) == [4, 5, 6] and live.members == {4, 5, 6}
+            assert live.add_fresh(n) == ref.add_fresh(n)
+        assert live.keys == ref.keys
+        assert live.next_u64() == ref.next_u64()
 
 
 @pytest.fixture
@@ -406,6 +407,10 @@ class TestRunDifferential:
         for check_every in (0, -1, 1.5, 2.0, "3", None, True):
             with pytest.raises(ValueError, match="check_every must be an int >= 1"):
                 run_differential([(ADD, 1)], TableParams(7, 1), check_every=check_every)
+
+    def test_unknown_op_kind_raises_with_its_index(self):
+        with pytest.raises(ValueError, match=r"^unknown op kind 'pop' at index 1$"):
+            run_differential([(ADD, 1), ("pop", 1), (REMOVE, 1)], TableParams(7, 1))
 
 
 @st.composite

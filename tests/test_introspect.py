@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compacthash import (COUNT_MISMATCH, DUPLICATE_KEY, FREE, REACHABILITY_GAP,
+from compacthash import (COUNT_MISMATCH, DELETED, DUPLICATE_KEY, FREE, REACHABILITY_GAP,
                          SLOT_INCONSISTENT, CompactTable, TableFullError, TableParams,
                          TombstoneTable, check_invariants, probe_stats)
 
@@ -162,6 +162,46 @@ class TestCheckInvariants:
              "detail": "key 15 at slot 0: 1 FREE slot(s) on its probe path"},
             {"slot_index": 3, "kind": REACHABILITY_GAP,
              "detail": "key 22 at slot 3: 1 FREE slot(s) on its probe path"}]
+
+
+def full_compact(capacity):
+    """A compact table with every slot busy, written through its slot arrays and counter."""
+    t = compact(capacity, keys=range(capacity - 1))
+    t._keys[capacity - 1] = capacity - 1
+    t._probe_counts[capacity - 1] = 1
+    t._live = capacity
+    return t
+
+
+def full_tombstone(capacity):
+    """A tombstone table with no FREE slot, its last slot DELETED, written through its arrays and counter."""
+    t = tombstone(capacity, keys=range(capacity - 1))
+    t._keys[capacity - 1] = capacity - 1
+    t._states[capacity - 1] = DELETED
+    t._non_free = capacity
+    return t
+
+
+class TestFullTables:
+    def test_compact_occupancy_cap_violated(self):
+        assert check(full_compact(4)).to_json_dict()["violations"] == [
+            {"slot_index": -1, "kind": COUNT_MISMATCH, "detail": "occupancy cap violated: 4 busy of 4 slots"}]
+
+    def test_tombstone_occupancy_cap_violated(self):
+        assert check(full_tombstone(4)).to_json_dict()["violations"] == [
+            {"slot_index": -1, "kind": COUNT_MISMATCH, "detail": "occupancy cap violated: 4 non-FREE of 4 slots"}]
+
+    @pytest.mark.parametrize("build", [full_compact, full_tombstone])
+    def test_a_miss_never_ends(self, build):
+        s = probe_stats(build(4))
+        assert s.mean_miss == float("inf")
+        assert s.cluster_lengths == [4]
+
+
+def test_non_tables_are_refused():
+    for inspect in (check_invariants, probe_stats):
+        with pytest.raises(TypeError, match=r"^unsupported table type set$"):
+            inspect(set())
 
 
 class TestProbeStats:

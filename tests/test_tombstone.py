@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -421,6 +423,50 @@ def test_plain_lookups_write_nothing():
     assert not t.contains_counted(misses[0])[0]
     assert t._next_free
     assert_shortcuts_valid(t)
+
+
+def _saturated_half_live(rng):
+    """A 1,024-slot step-3 table with one FREE slot, every second key removed, and its stored keys."""
+    t = TombstoneTable(TableParams(1024, 3))
+    keys = rng.sample(range(1 << 40), 1023)
+    for key in keys:
+        assert t.insert(key)
+    for key in keys[1::2]:
+        assert t.remove(key)
+    assert t.non_free_count == t.capacity - 1
+    return t, keys[::2]
+
+
+def test_concurrent_counted_lookups_agree_with_a_serial_run():
+    # the counted twins write next-FREE shortcuts on a lookup; threads that
+    # look up on one shared table, switching as often as the interpreter
+    # lets them, must each get the answer and count of a serial run
+    rng = random.Random(11)
+    shared, stored = _saturated_half_live(random.Random(5))
+    serial, _ = _saturated_half_live(random.Random(5))
+    keys = rng.sample(stored, 200) + [key + (1 << 40) for key in rng.sample(range(1 << 40), 256)]
+    expected = {key: serial.contains_counted(key) for key in keys}
+    orders = [rng.sample(keys, len(keys)) for _ in range(4)]
+
+    def look_up(order, results):
+        results.extend((key, shared.contains_counted(key)) for key in order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            results = [[] for _ in orders]
+            threads = [threading.Thread(target=look_up, args=args) for args in zip(orders, results)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            for got in results:
+                assert len(got) == len(keys) and all(answer == expected[key] for key, answer in got)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_shortcuts_valid(shared)
 
 
 def test_twins_survive_public_ops_that_call_them(monkeypatch):
