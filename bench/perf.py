@@ -61,7 +61,6 @@ The points, all on 65,536-slot tables built from seeded keys:
 import argparse
 import importlib
 import importlib.util
-import inspect
 import json
 import math
 import os
@@ -373,24 +372,13 @@ def table_rows(parent):
 
 
 def _churn_phase(pkg):
-    """pkg's LiveKeys of LIVE_KEYS full-range keys, and a call that runs one round's phases on it.
-
-    A LiveKeys that takes no seed has the older API, which took the stream
-    and the key range in every call; it gets the seed-0 stream and the full
-    signed range, so both APIs draw equal keys. Drop that branch once no
-    parent has it.
-    """
-    if "seed" in inspect.signature(pkg.harness.LiveKeys).parameters:
-        live = pkg.harness.LiveKeys(0)
-        pick, add_fresh = live.pick, live.add_fresh
-    else:
-        live, next_u64 = pkg.harness.LiveKeys(), pkg.SplitMix64(0).next_u64
-        pick, add_fresh = partial(live.pick, next_u64), partial(live.add_fresh, next_u64, -(1 << 63), 1 << 64)
-    add_fresh(LIVE_KEYS)
+    """pkg's LiveKeys of LIVE_KEYS full-range keys, and a call that runs one round's phases on it."""
+    live = pkg.harness.LiveKeys(0)
+    live.add_fresh(LIVE_KEYS)
 
     def call():
-        pick(PHASE_KEYS)
-        add_fresh(PHASE_KEYS)
+        live.pick(PHASE_KEYS)
+        live.add_fresh(PHASE_KEYS)
 
     return live, call
 

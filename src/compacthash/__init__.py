@@ -7,7 +7,7 @@ differentially tests both against a plain set, and the CLI exposes
 fuzzing, trace replay, and a churn benchmark.
 """
 
-from .compact import CompactTable, Slot
+from .compact import CompactTable
 from .errors import (CapacityTooSmallError, CompactHashError, EmptyKeyUniverseError,
                      KeyOutOfRangeError, StepNotCoprimeError, StepOutOfRangeError,
                      TableFullError, TraceParseError, ZeroCapacityError)
@@ -18,7 +18,7 @@ from .introspect import (COUNT_MISMATCH, DUPLICATE_KEY, REACHABILITY_GAP,
                          SLOT_INCONSISTENT, ProbeStats, Violation, ViolationReport,
                          check_invariants, probe_stats)
 from .probing import TableParams
-from .tombstone import BUSY, DELETED, FREE, TombstoneSlot, TombstoneTable
+from .tombstone import BUSY, DELETED, FREE, TombstoneTable
 
 __version__ = "0.1.0"
 
@@ -27,8 +27,8 @@ __all__ = [
     "GENERATOR_ID", "REACHABILITY_GAP", "REMOVE", "SLOT_INCONSISTENT",
     "CapacityTooSmallError", "CompactHashError", "CompactTable", "Divergence",
     "EmptyKeyUniverseError", "InvariantFailure", "KeyOutOfRangeError", "ProbeStats",
-    "Slot", "SplitMix64", "StepNotCoprimeError", "StepOutOfRangeError",
-    "TableFullError", "TableParams", "TombstoneSlot", "TombstoneTable",
+    "SplitMix64", "StepNotCoprimeError", "StepOutOfRangeError", "TableFullError",
+    "TableParams", "TombstoneTable",
     "TraceParseError", "Verdict", "Violation", "ViolationReport", "WorkloadSpec",
     "ZeroCapacityError", "check_invariants", "format_trace", "generate_workload",
     "parse_trace", "probe_stats", "run_differential",

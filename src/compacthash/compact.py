@@ -10,17 +10,10 @@ table never degrades under insert/delete churn.
 
 from array import array
 from itertools import compress
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import KeyOutOfRangeError, TableFullError
 from .probing import KEY_MAX, KEY_MIN, OpenAddressTable, TableParams
-
-
-class Slot(NamedTuple):
-    """One table cell; key is meaningful only when probe_count > 0."""
-
-    key: int
-    probe_count: int
 
 
 class CompactTable(OpenAddressTable):
@@ -39,9 +32,6 @@ class CompactTable(OpenAddressTable):
     def keys(self) -> Iterator[int]:
         """Each stored key once, in ascending slot order."""
         return compress(self._keys, self._probe_counts)
-
-    def slot(self, index: int) -> Slot:
-        return Slot(self._keys[index], self._probe_counts[index])
 
     def state_bytes(self) -> bytes:
         """Raw slot array; equal bytes mean equal table states."""

@@ -35,6 +35,8 @@ REMOVE = "remove"
 
 GENERATOR_ID = "splitmix64"
 
+TABLE_FULL = "TableFull"  # the answer of an insert refused at the occupancy cap
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -208,30 +210,42 @@ class InvariantFailure:
 
 @dataclass
 class Verdict:
-    """Outcome of one differential run; passed iff no op diverged and no check failed."""
+    """Outcome of one differential run; passed iff no op diverged and no check failed.
+
+    tombstone_saturated_at is the index of the op whose TableFull showed the
+    tombstone table at its occupancy cap; its answers are not compared after it.
+    """
 
     first_divergence: Optional[Divergence] = None
     invariant_failures: list[InvariantFailure] = field(default_factory=list)
+    tombstone_saturated_at: Optional[int] = None
 
     @property
     def passed(self) -> bool:
         return self.first_divergence is None and not self.invariant_failures
 
     def to_json_dict(self) -> dict:
-        return {
+        d = {
             "passed": self.passed,
             "first_divergence": None if self.first_divergence is None else self.first_divergence.to_json_dict(),
             "invariant_failures": [f.to_json_dict() for f in self.invariant_failures],
         }
+        if self.tombstone_saturated_at is not None:
+            d["tombstone_saturated_at"] = self.tombstone_saturated_at
+        return d
 
 
 def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: int = 1) -> Verdict:
     """Apply ops to both tables and the set oracle, comparing every result.
 
     Returns at the first op whose answers disagree; a TableFullError is
-    recorded as the string "TableFull" in that op's result rather than
-    crashing the run. The oracle answers True or False, so an op agrees
-    iff both tables' answers are that very object. Every check_every
+    recorded as TABLE_FULL in that op's result rather than crashing the
+    run. The oracle answers True, False or, for an absent key added at
+    capacity - 1 keys with growth off, TABLE_FULL, so an op agrees iff both
+    tables' answers are that very object. The tombstone table's tombstones
+    may fill it first: a TableFull it raises at capacity - 1 non-FREE slots
+    is accepted, and from that op, tombstone_saturated_at, the run compares
+    only the compact table with the oracle. Every check_every
     operations both tables get a full invariant check; violations are
     collected and the run keeps going (the checker reports, it never aborts).
     Raises ValueError unless check_every is an int of at least 1.
@@ -242,6 +256,8 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
     tombstone = TombstoneTable(params)
     model: set[int] = set()
     failures: list[InvariantFailure] = []
+    saturated_at = None
+    cap = -1 if params.growth_enabled else params.capacity - 1  # the oracle's size at which an add is refused
 
     # compact's plain ops are their counted twins' first items, so binding
     # the twins saves a Python frame per op; the tombstone's plain ops skip
@@ -256,15 +272,20 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
         if kind == ADD:
             o = key not in model
             if o:
-                model_add(key)
+                if len(model) == cap:
+                    o = TABLE_FULL
+                else:
+                    model_add(key)
             try:
                 c = c_insert(key)[0]
             except TableFullError:
-                c = "TableFull"
+                c = TABLE_FULL
             try:
                 t = t_insert(key)
             except TableFullError:
-                t = "TableFull"
+                t = TABLE_FULL
+                if saturated_at is None and (o is TABLE_FULL or tombstone.non_free_count == cap):
+                    saturated_at = idx
         elif kind == CONTAINS:
             o = key in model
             c = c_contains(key)[0]
@@ -277,8 +298,8 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
             t = t_remove(key)
         else:
             raise ValueError(f"unknown op kind {kind!r} at index {idx}")
-        if c is not o or t is not o:
-            return Verdict(Divergence(idx, op, c, t, o), failures)
+        if c is not o or t is not o and saturated_at is None:
+            return Verdict(Divergence(idx, op, c, t, o), failures, saturated_at)
         left -= 1
         if not left:
             left = check_every
@@ -287,7 +308,7 @@ def run_differential(ops: Iterable[OpRecord], params: TableParams, check_every: 
                 if not report.passed:
                     failures.append(InvariantFailure(idx, table_kind, report))
 
-    return Verdict(None, failures)
+    return Verdict(None, failures, saturated_at)
 
 
 def format_trace(ops: Iterable[OpRecord], meta: Optional[dict] = None) -> str:

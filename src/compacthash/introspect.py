@@ -10,7 +10,7 @@ invariant checking affordable inside differential runs.
 
 Both the checker and probe_stats work on one list: cp, the sorted
 probe-cycle positions of the occupied slots (slots with a nonzero probe
-count in a compact table, non-FREE slots in a tombstone table). Slot s
+count in a compact table, non-FREE slots in a tombstone table). A slot s
 lies at cycle position s * step^-1 mod m, so at step != 1 cp is computed
 and sorted, and at step 1 it is the occupied slots themselves.
 
@@ -73,9 +73,6 @@ class ViolationReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.passed
-
     def to_json_dict(self) -> dict:
         return {"passed": self.passed, "violations": [v.to_json_dict() for v in self.violations]}
 
@@ -123,7 +120,7 @@ def _occupied_in_cycle(occupied: np.ndarray, marks: np.ndarray,
     """The occupied slots in probe-cycle order: (cp, slots, marks[slots]).
 
     occupied is a boolean mask over the slots and marks a per-slot array.
-    Slot s lies at cycle position s * step^-1 mod m; cp holds the sorted
+    A slot s lies at cycle position s * step^-1 mod m; cp holds the sorted
     positions of the occupied slots, slots the slot at each of them
     (cp * step mod m). At step 1 both are the occupied slots.
     """

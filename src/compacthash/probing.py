@@ -18,8 +18,6 @@ from math import gcd
 from .errors import (CapacityTooSmallError, CompactHashError, StepNotCoprimeError, StepOutOfRangeError,
                      ZeroCapacityError)
 
-DEFAULT_CAPACITY = 1_000_000
-
 # Keys are stored in signed 64-bit slot arrays.
 KEY_MIN = -(1 << 63)
 KEY_MAX = (1 << 63) - 1
@@ -44,7 +42,7 @@ class TableParams:
     capacity 1 any positive step is accepted.
     """
 
-    capacity: int = DEFAULT_CAPACITY
+    capacity: int
     step: int = 1
     growth_enabled: bool = False
 

@@ -10,18 +10,18 @@ home slot or a key-to-slot dict answers a lookup, and only insertion
 walks, across the BUSY slots before the slot it takes, so no op's cost
 grows with capacity, even on a saturated table where the classical walk
 is Theta(capacity). The *_counted twins add the slots the classical walk
-from the key's home would examine, the slot it stops on included:
+from the key's home examines before the op, the slot it stops on included:
 (stop - home) * step^-1 mod capacity + 1. The stop is a FREE home
-itself, a stored key's slot, or else (an absent key, or an insert that
-reuses a tombstone) the first FREE slot on the path, found by next-FREE
-shortcuts with path compression that only the twins make and follow, in
+itself, a stored key's slot, or else, for an absent key, the first FREE
+slot on the path (an insert that grows the table counts the walk to the
+key in the grown one). That FREE slot is found by next-FREE shortcuts with path compression that only the twins make and follow, in
 a dict of their own: the plain table costs 9 bytes per slot plus _slot_of.
 That key-to-slot dict is also the table's size and key listing: len() is
 its length, and keys() reads the key array at its slots, in ascending order.
 """
 
 from array import array
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import KeyOutOfRangeError, TableFullError
 from .probing import KEY_MAX, KEY_MIN, OpenAddressTable, TableParams
@@ -29,13 +29,6 @@ from .probing import KEY_MAX, KEY_MIN, OpenAddressTable, TableParams
 FREE = 0
 BUSY = 1
 DELETED = 2
-
-
-class TombstoneSlot(NamedTuple):
-    """One table cell; key is meaningful only when state is BUSY."""
-
-    key: int
-    state: int
 
 
 class TombstoneTable(OpenAddressTable):
@@ -67,9 +60,6 @@ class TombstoneTable(OpenAddressTable):
 
     def keys(self) -> Iterator[int]:
         return map(self._keys.__getitem__, sorted(self._slot_of.values()))
-
-    def slot(self, index: int) -> TombstoneSlot:
-        return TombstoneSlot(self._keys[index], self._states[index])
 
     def state_bytes(self) -> bytes:
         return self._states.tobytes() + self._keys.tobytes()
@@ -121,13 +111,12 @@ class TombstoneTable(OpenAddressTable):
         return True
 
     def insert_counted(self, key: int) -> tuple[bool, int]:
-        """Like insert, also returning the slots the classical walk examines."""
-        m, non_free = self._capacity, self._non_free
+        """Like insert, also returning the slots the classical walk examines before it,
+        or, after a growth, the walk to the key in the grown table."""
+        m = self._capacity
+        n = self._walk(key)[1]
         added = self._insert(key)
-        if added and self._capacity == m and self._non_free == non_free:
-            home = key % m  # a reused tombstone: the classical walk goes on to the first FREE slot
-            return True, (self._first_free(home) - home) * self._inv_step % m + 1
-        return added, self._walk(key)[1]
+        return added, n if self._capacity == m else self._walk(key)[1]
 
     def _first_free(self, i: int) -> int:
         """First FREE slot on the probe path from non-FREE slot i.

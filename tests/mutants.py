@@ -113,8 +113,8 @@ MUTANTS = (
            "        if self._params.growth_enabled and self._grow(self._non_free + 1):\n"
            "            return self._insert(key)\n"
            "        if s == FREE:\n",
-           ("tests/test_model.py::TestTombstoneMachine::runTest",
-            "tests/test_tombstone.py::TestGrowthAndRehash::test_tombstone_reuse_never_grows")),
+           ("tests/test_tombstone.py::TestGrowthAndRehash::test_tombstone_reuse_never_grows",
+            "tests/test_model.py::TestTombstoneMachine::runTest")),
     # the answer is the same, but a tracer that patches insert_counted counts the retry as a second insert
     Mutant("compact-retry-calls-public-insert", "compact.py",
            "            return self._insert(key)\n",
@@ -140,6 +140,38 @@ MUTANTS = (
            "            nxt[i], i = i, nxt.get(i, (i + step) % m)\n",
            ("tests/test_model.py::TestTombstoneMachine::runTest",
             "tests/test_tombstone.py::test_plain_ops_match_their_counted_twins")),
+    # an insert that reuses a tombstone counts the walk to its slot, not on to the first FREE slot
+    Mutant("tombstone-insert-counts-the-walk-after", "tombstone.py",
+           "        return added, n if self._capacity == m else self._walk(key)[1]\n",
+           "        return added, self._walk(key)[1]\n",
+           ("tests/test_model.py::TestTombstoneMachine::runTest",
+            "tests/test_introspect.py::TestCountedOps::test_tombstone_costs")),
+    # each table refuses a key one slot before its occupancy cap
+    Mutant("compact-table-full-one-key-early", "compact.py",
+           "        if self._live == m - 1:\n",
+           "        if self._live == m - 2:\n",
+           ("tests/test_harness.py::TestRunDifferential::test_table_full_at_the_cap_is_the_oracles_answer",
+            "tests/test_model.py::TestCompactMachine::runTest")),
+    Mutant("tombstone-table-full-one-key-early", "tombstone.py",
+           "            if m - self._non_free == 1:\n",
+           "            if m - self._non_free == 2:\n",
+           ("tests/test_harness.py::TestRunDifferential::test_tombstone_table_full_where_compact_has_room",
+            "tests/test_model.py::TestTombstoneMachine::runTest")),
+    # a path of exactly live slots passes the predecessor test when the key after it cyclically sits at its home
+    Mutant("checker-path-as-long-as-live-passes", "introspect.py",
+           "    gap = (dist >= live) | ",
+           "    gap = (dist > live) | ",
+           ("tests/test_introspect.py::TestCheckInvariants::test_gap_on_a_path_as_long_as_the_occupied_count",)),
+    # at step 3 the cycle order of the gaps is not their slot order
+    Mutant("checker-gaps-in-cycle-order", "introspect.py",
+           "    idx = _by_slot(np.flatnonzero(gap & ~wrong), slots)\n",
+           "    idx = np.flatnonzero(gap & ~wrong)\n",
+           ("tests/test_introspect.py::TestCheckInvariants::test_gaps_are_reported_in_slot_order[compact]",)),
+    # every block after the first starts one draw late; a workload of one block is unchanged
+    Mutant("generator-block-start-one-draw-late", "harness.py",
+           "        draws = _draws(spec.seed, start, ",
+           "        draws = _draws(spec.seed, start + (start > 0), ",
+           ("tests/test_harness.py::test_generate_workload_matches_scalar_reference[base phase across draw blocks]",)),
 )
 
 
@@ -190,8 +222,9 @@ def main() -> int:
                     status, failed = "timeout", []
                 else:
                     status = "killed" if run.returncode else "survived"
-                    failed = [_node_id(line.split()[1], work) for line in run.stdout.splitlines()
-                              if line.startswith(("FAILED ", "ERROR "))]
+                    # "FAILED <node ID> - <message>"; a parametrize ID may hold spaces
+                    failed = [_node_id(line.split(" ", 1)[1].partition(" - ")[0], work)
+                              for line in run.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
                 seconds = round(time.perf_counter() - start, 1)
                 path.write_text(clean)
             ok &= status in ("killed", "timeout")

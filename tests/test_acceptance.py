@@ -128,12 +128,11 @@ def _chain_fixture_ok(capacity, step, keys, slots_before, removed, slots_after):
         if not t.insert(key):
             return False
     for index, expected in slots_before:
-        if tuple(t.slot(index)) != expected:
+        if (t._keys[index], t._probe_counts[index]) != expected:
             return False
     if not t.remove(removed):
         return False
-    busy = [(i, (t.slot(i).key, t.slot(i).probe_count))
-            for i in range(capacity) if t.slot(i).probe_count]
+    busy = [(i, (key, pc)) for i, (key, pc) in enumerate(zip(t._keys, t._probe_counts)) if pc]
     return busy == slots_after
 
 

@@ -3,7 +3,6 @@
 import importlib.util
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -116,30 +115,6 @@ def test_bench_restores_probe_stats_however_it_ends(perf):
     assert cli.probe_stats is inner
 
 
-class OldApiLiveKeys:
-    """LiveKeys' older API, which took the stream and the key range in every call."""
-
-    def __init__(self):
-        self.keys = []
-
-    def pick(self, next_u64, n):
-        picked = []
-        for _ in range(n):
-            at = next_u64() % len(self.keys)
-            picked.append(self.keys[at])
-            self.keys[at] = self.keys[-1]
-            self.keys.pop()
-        return picked
-
-    def add_fresh(self, next_u64, lo, span, n):
-        fresh = [lo + next_u64() % span for _ in range(n)]
-        self.keys += fresh
-        return fresh
-
-
-OLD_API_PACKAGE = SimpleNamespace(harness=SimpleNamespace(LiveKeys=OldApiLiveKeys), SplitMix64=compacthash.SplitMix64)
-
-
 def test_churn_phase_calls_keep_the_live_count_and_equal_sides_in_step(perf, monkeypatch):
     monkeypatch.setattr(perf, "LIVE_KEYS", 64)
     monkeypatch.setattr(perf, "PHASE_KEYS", 32)
@@ -148,13 +123,3 @@ def test_churn_phase_calls_keep_the_live_count_and_equal_sides_in_step(perf, mon
     call()
     other_call()
     assert len(live.keys) == len(set(live.keys)) == 64 and live.keys == other.keys != before
-
-
-def test_churn_phase_gives_a_parent_of_the_older_api_the_same_draws(perf, monkeypatch):
-    monkeypatch.setattr(perf, "LIVE_KEYS", 64)
-    monkeypatch.setattr(perf, "PHASE_KEYS", 32)
-    (live, call), (old, old_call) = perf._churn_phase(compacthash), perf._churn_phase(OLD_API_PACKAGE)
-    assert live.keys == old.keys
-    call()
-    old_call()
-    assert live.keys == old.keys

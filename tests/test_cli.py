@@ -28,6 +28,20 @@ class TestFuzz:
         assert out.count(": ok") == 3
         assert not list(tmp_path.iterdir())  # artifacts only on failure
 
+    @pytest.mark.parametrize("flags", [
+        ("--capacity", "1", "--ops", "10"),
+        ("--capacity", "2", "--ops", "1000"),
+        ("--capacity", "16", "--ops", "50", "--seed-start", "-1"),
+        ("--capacity", "16", "--ops", "50", "--seed-start", "-3"),
+        ("--capacity", "64", "--universe=0:64", "--ops", "3000", "--check-every", "1"),
+    ], ids=["cap1", "cap2", "cap16-seed-1", "cap16-seed-3", "cap64-tombstone-saturates"])
+    def test_a_table_at_its_occupancy_cap_passes(self, capsys, tmp_path, flags):
+        # each run reaches TableFull: both tables at the cap, or the
+        # tombstone table alone, its tombstones filling it first
+        code, out, _ = run(capsys, "fuzz", "--seed-count", "1", *flags, "--out-dir", str(tmp_path))
+        assert code == 0 and ": ok" in out
+        assert not list(tmp_path.iterdir())
+
     def test_disabled_compression_fails_with_artifacts(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(CompactTable, "_compress", lambda self, free: (0, 0))
         code, out, _ = run(capsys, "fuzz", "--seed-count", "5", "--capacity", "257",

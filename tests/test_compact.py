@@ -16,19 +16,15 @@ def build(capacity, step=1, keys=(), **kw):
     return table
 
 
-def slots(table):
-    return [table.slot(i) for i in range(table.capacity)]
-
-
 def occupied(table):
-    return [(i, s.key, s.probe_count) for i, s in enumerate(slots(table)) if s.probe_count]
+    return [(i, key, pc) for i, (key, pc) in enumerate(zip(table._keys, table._probe_counts)) if pc]
 
 
 class TestConstruction:
     def test_fresh_table_is_empty(self):
         t = build(7)
         assert len(t) == 0
-        assert all(t.slot(i).probe_count == 0 for i in range(7))
+        assert not any(t._probe_counts)
 
     def test_invalid_params_propagate(self):
         from compacthash import StepNotCoprimeError, ZeroCapacityError
@@ -42,7 +38,7 @@ class TestInsert:
     def test_first_probe_lands_on_home(self):
         t = build(7)
         assert t.insert(7)
-        assert t.slot(0) == (7, 1)
+        assert (t._keys[0], t._probe_counts[0]) == (7, 1)
 
     def test_duplicate_returns_false_and_leaves_state(self):
         t = build(7, keys=[7])
@@ -284,8 +280,7 @@ def test_probe_counts_never_exceed_live_count(ops):
             t.insert(key)
             # an insertion skips only busy slots, so its probe count is
             # at most the number of live entries once it lands
-            placed = [s.probe_count for s in (t.slot(i) for i in range(17)) if s.probe_count]
-            assert max(placed) <= len(t)
+            assert max(t._probe_counts) <= len(t)
         elif kind == "r":
             t.remove(key)
 
@@ -434,7 +429,7 @@ def test_plain_ops_match_their_counted_twins(case):
         plain_answer = outcome(plain.__contains__ if op == "in" else getattr(plain, op), key)
         assert (type(plain_answer), plain_answer) == (type(answer), answer)
         if op == "insert" and answer is True:
-            assert (key, got[1]) in slots(counted)
+            assert (key, got[1]) in zip(counted._keys, counted._probe_counts)
         assert plain.state_bytes() == counted.state_bytes()
         assert len(plain) == len(counted)
         assert plain.capacity == counted.capacity

@@ -8,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 import scalar_splitmix
 from reference_differential import reference_differential
 from compacthash import (ADD, CONTAINS, REMOVE, CompactTable, Divergence, EmptyKeyUniverseError,
-                         InvariantFailure, SplitMix64, TableParams, TombstoneTable,
+                         InvariantFailure, SplitMix64, TableFullError, TableParams, TombstoneTable,
                          TraceParseError, Verdict, ViolationReport, WorkloadSpec, format_trace,
                          generate_workload, parse_trace, run_differential)
-from compacthash.harness import LiveKeys, _draws
+from compacthash.harness import TABLE_FULL, LiveKeys, _draws
 from compacthash.probing import KEY_MIN
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -310,6 +310,8 @@ class TestRunDifferential:
         assert verdict.passed
         assert verdict.first_divergence is None
         assert verdict.invariant_failures == []
+        assert verdict.tombstone_saturated_at is None
+        assert "tombstone_saturated_at" not in verdict.to_json_dict()
 
     def test_contains_only_workload(self):
         ops = [(CONTAINS, k) for k in range(20)]
@@ -351,25 +353,55 @@ class TestRunDifferential:
         assert [(f.op_index, f.table_kind) for f in verdict.invariant_failures] == [
             (2, "tombstone"), (3, "tombstone")]
 
-    def test_table_full_is_a_divergence_not_a_crash(self):
-        ops = [(ADD, 0), (ADD, 1), (ADD, 2)]
-        verdict = run_differential(ops, TableParams(3, 1))
+    def test_table_full_is_a_divergence_not_a_crash(self, monkeypatch):
+        # a TableFull below the cap is a wrong answer, recorded as one
+        insert_counted = CompactTable.insert_counted
+
+        def refusing_insert(self, key):
+            if key == 1:
+                raise TableFullError("refused early")
+            return insert_counted(self, key)
+
+        monkeypatch.setattr(CompactTable, "insert_counted", refusing_insert)
+        verdict = run_differential([(ADD, 0), (ADD, 1), (ADD, 2)], TableParams(3, 1))
         assert not verdict.passed
         d = verdict.first_divergence
-        assert d.op_index == 2
-        assert d.compact_result == "TableFull"
-        assert d.tombstone_result == "TableFull"
+        assert d.op_index == 1
+        assert d.compact_result == TABLE_FULL
+        assert d.tombstone_result is True
         assert d.oracle_result is True
+
+    def test_table_full_at_the_cap_is_the_oracles_answer(self):
+        # the third add would leave no empty slot, so all three answer
+        # TableFull; the saturated tombstone table then refuses an add
+        # the compact table takes, and only the compact table is compared
+        ops = [(ADD, 0), (ADD, 1), (ADD, 2), (REMOVE, 0), (ADD, 2), (CONTAINS, 2)]
+        verdict = run_differential(ops, TableParams(3, 1))
+        assert verdict.passed
+        assert verdict.tombstone_saturated_at == 2
+        assert verdict.to_json_dict()["tombstone_saturated_at"] == 2
 
     def test_tombstone_table_full_where_compact_has_room(self):
         # the removed key's tombstone still counts against the tombstone
         # table's FREE-slot budget; the compact table freed its slot
         verdict = run_differential(ONE_SIDED_TABLE_FULL, TableParams(4, 1))
+        assert verdict.passed
+        assert verdict.tombstone_saturated_at == 4
+
+    def test_tombstone_table_full_below_its_cap_is_a_divergence(self, monkeypatch):
+        insert = TombstoneTable.insert
+
+        def refusing_insert(self, key):
+            if key == 2:
+                raise TableFullError("refused early")
+            return insert(self, key)
+
+        monkeypatch.setattr(TombstoneTable, "insert", refusing_insert)
+        verdict = run_differential(ONE_SIDED_TABLE_FULL, TableParams(4, 1))
         d = verdict.first_divergence
-        assert d.op_index == 4 and d.op == (ADD, 3)
-        assert d.compact_result is True
-        assert d.tombstone_result == "TableFull"
-        assert d.oracle_result is True
+        assert d.op_index == 3 and d.op == (ADD, 2)
+        assert (d.compact_result, d.tombstone_result, d.oracle_result) == (True, TABLE_FULL, True)
+        assert verdict.tombstone_saturated_at is None
 
     def test_deterministic_replay(self):
         spec = WorkloadSpec(seed=11, op_count=2000, key_universe=(0, 80))
@@ -393,7 +425,7 @@ class TestRunDifferential:
                   TableParams(257, 3), 50),
                  (ONE_SIDED_TABLE_FULL, TableParams(4, 1), 1)]
         want = [run_differential(*case) for case in cases]
-        assert want[0].passed and not want[1].passed
+        assert want[0].passed and want[1].tombstone_saturated_at == 4
 
         def refuse(self, key):
             raise AssertionError("run_differential called a plain compact op")
@@ -447,6 +479,7 @@ def disabled_compress(self, free):
                TableParams(7, 1), 1))
 @example(case=([(ADD, 0), (ADD, 1), (ADD, 2)], TableParams(3, 1), 2))
 @example(case=(ONE_SIDED_TABLE_FULL, TableParams(4, 1), 1))
+@example(case=([(ADD, 0), (ADD, 1), (ADD, 2), (REMOVE, 0), (ADD, 2), (CONTAINS, 2)], TableParams(3, 1), 1))
 def test_run_differential_matches_reference_loop(compress, case):
     ops, params, check_every = case
     with pytest.MonkeyPatch.context() as mp:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compacthash import (COUNT_MISMATCH, DELETED, DUPLICATE_KEY, FREE, REACHABILITY_GAP,
+from compacthash import (BUSY, COUNT_MISMATCH, DELETED, DUPLICATE_KEY, FREE, REACHABILITY_GAP,
                          SLOT_INCONSISTENT, CompactTable, TableFullError, TableParams,
                          TombstoneTable, check_invariants, probe_stats)
 
@@ -114,14 +114,14 @@ class TestCheckInvariants:
         t = compact(7, keys=[7])
         t._live = 3
         report = check(t)
-        assert not report.passed and not bool(report)
+        assert not report.passed
         assert report.to_json_dict()["violations"]
 
     def test_gap_whose_path_wraps_the_cycle(self):
         # step 3 visits slots 0, 3, 6, 2, 5, 1, 4; keys homed at slot 1
         # fill slots 1, 4, 0, 3, so the path of 22 wraps from slot 4 to 0
         t = compact(7, 3, keys=[1, 8, 15, 22])
-        assert [tuple(t.slot(i)) for i in (1, 4, 0, 3)] == [(1, 1), (8, 2), (15, 3), (22, 4)]
+        assert [(t._keys[i], t._probe_counts[i]) for i in (1, 4, 0, 3)] == [(1, 1), (8, 2), (15, 3), (22, 4)]
         for s in (4, 0):
             t._probe_counts[s] = 0
             t._keys[s] = 0
@@ -140,6 +140,22 @@ class TestCheckInvariants:
         assert check(t).to_json_dict()["violations"] == [
             {"slot_index": 3, "kind": REACHABILITY_GAP,
              "detail": "key 22 at slot 3: 2 FREE slot(s) on its probe path"}]
+
+    @pytest.mark.parametrize("build", [compact, tombstone])
+    def test_gaps_are_reported_in_slot_order(self, build):
+        # step 3 visits slots 0, 3, 6, 2; emptying slot 3 cuts the paths
+        # of the keys at slots 6 and 2, which the cycle meets in that order
+        t = build(7, 3, keys=[0, 7, 14, 21])
+        if isinstance(t, CompactTable):
+            t._probe_counts[3] = 0
+            t._live -= 1
+        else:
+            t._states[3] = FREE
+            t._non_free -= 1
+            del t._slot_of[7]
+        t._keys[3] = 0
+        assert [(v.kind, v.slot_index) for v in check(t).violations] == [
+            (REACHABILITY_GAP, 2), (REACHABILITY_GAP, 6)]
 
     def test_gap_on_a_path_as_long_as_the_occupied_count(self):
         # as above with only slot 4 emptied: three slots stay occupied and
@@ -236,7 +252,7 @@ class TestProbeStats:
         # step 3: slots 0 and 3 hold keys 0 and 7 and are consecutive on
         # the probe cycle 0, 3, 6, 2, 5, 1, 4
         t = compact(7, 3, keys=[0, 7])
-        assert [i for i in range(7) if t.slot(i).probe_count] == [0, 3]
+        assert [i for i in range(7) if t._probe_counts[i]] == [0, 3]
         assert probe_stats(t).cluster_lengths == [2]
 
     def test_tombstone_stats_after_churn(self):
@@ -269,8 +285,8 @@ class TestProbeStats:
 
 def open_slots(table):
     if isinstance(table, CompactTable):
-        return [table.slot(i).probe_count == 0 for i in range(table.capacity)]
-    return [table.slot(i).state == FREE for i in range(table.capacity)]
+        return [pc == 0 for pc in table._probe_counts]
+    return [state == FREE for state in table._states]
 
 
 def brute_mean_miss(table):
@@ -372,4 +388,4 @@ class TestCountedOps:
         t.remove(7)
         assert t.contains_counted(21) == (False, 3)
         assert t.insert_counted(21) == (True, 3)
-        assert t.slot(0) == (21, 1)  # reused the tombstone
+        assert (t._keys[0], t._states[0]) == (21, BUSY)  # reused the tombstone

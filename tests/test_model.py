@@ -14,9 +14,15 @@ it checks that:
 - capacity changes only on an insert that places a key and pushes the
   growth count over GROWTH_LOAD_FACTOR;
 - the keys are the set's and check_invariants passes;
+- a CompactTable is history independent: it equals a fresh table that
+  inserted the live keys in the order of their last insert, an order
+  that a growth or a rehash resets to ascending slot order;
 - a TombstoneTable's _slot_of is the key-to-slot map of its BUSY slots,
   and each of its next-FREE shortcuts leads along its path past non-FREE
-  slots only.
+  slots only;
+- a TombstoneTable equals a WalkingReference mirror that took the same
+  ops and was rebuilt as the table was, and each counted call returns
+  the mirror's count.
 """
 
 from dataclasses import replace
@@ -29,7 +35,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from compacthash import (BUSY, FREE, CapacityTooSmallError, CompactTable, KeyOutOfRangeError,
                          TableFullError, TombstoneTable, check_invariants)
 from compacthash.probing import GROWTH_LOAD_FACTOR, GROWTH_MULTIPLIER, KEY_MAX, KEY_MIN
-from twin_ops import assert_shortcuts_valid, table_params
+from twin_ops import WalkingReference, assert_shortcuts_valid, outcome, table_params
 
 MACHINE_SETTINGS = settings(max_examples=200, stateful_step_count=50, deadline=None)
 
@@ -46,7 +52,7 @@ class TableMachine(RuleBasedStateMachine):
 
     @initialize(params=table_params(64), data=st.data())
     def build(self, params, data):
-        self.table = self.cls(replace(params, growth_enabled=False))
+        self.adopt(self.cls(replace(params, growth_enabled=False)), [])
         self.model = set()
         m = params.capacity
         homes = range(0, m, -(-m // 16))  # at most 16, each shared by 4 keys
@@ -59,9 +65,15 @@ class TableMachine(RuleBasedStateMachine):
         prefill = data.draw(st.permutations(shared), label="order")[:fill]
         for key in prefill:
             self.insert_key(False, key)
-        self.table = self.table.rehash(params)
+        self.adopt(self.table.rehash(params), list(self.table.keys()))
         for key in prefill[:data.draw(st.integers(0, fill // 4), label="removed")]:
             self.remove_key(False, key)
+
+    def adopt(self, table, order):
+        """Take table, a fresh table that inserted the keys in order; a rehash
+        inserts them in the ascending slot order of the table it rebuilds."""
+        self.table = table
+        self.order = order  # the live keys in the order of their last insert
 
     def snapshot(self):
         t = self.table
@@ -75,7 +87,7 @@ class TableMachine(RuleBasedStateMachine):
         """The op's answer, or the type of the error it raised; state must not change unless it answers True."""
         before = self.snapshot()
         try:
-            got = getattr(self.table, op + "_counted" if counted else op)(key)
+            self.got = got = getattr(self.table, op + "_counted" if counted else op)(key)
         except (TypeError, KeyOutOfRangeError, TableFullError) as e:
             assert self.snapshot() == before
             return type(e)
@@ -99,11 +111,13 @@ class TableMachine(RuleBasedStateMachine):
             count = self.growth_count(key)
             if count is not None and t.params.growth_enabled and count / m > GROWTH_LOAD_FACTOR:
                 new_m = grown_capacity(m, t.params.step)
+                self.order = list(t.keys())  # the growth inserts them in slot order, then key
             elif count == m:  # the last empty slot is never taken
                 expected = TableFullError
         assert self.call("insert", counted, key) is expected
         if expected is True:
             self.model.add(key)
+            self.order.append(key)
         assert t.capacity == new_m
 
     @rule(counted=st.booleans(), data=st.data())
@@ -121,6 +135,7 @@ class TableMachine(RuleBasedStateMachine):
         assert got is (TypeError if type(key) is not int else key in self.model)
         if got is True:
             self.model.remove(key)
+            self.order.remove(key)
 
     @rule(counted=st.booleans(), data=st.data())
     def remove(self, counted, data):
@@ -136,7 +151,7 @@ class TableMachine(RuleBasedStateMachine):
         else:
             fresh = self.table.rehash(params)
             assert self.snapshot() == before and fresh.params == params
-            self.table = fresh
+            self.adopt(fresh, list(self.table.keys()))
 
     @invariant()
     def agrees_with_the_model(self):
@@ -153,28 +168,59 @@ class CompactMachine(TableMachine):
     def growth_count(self, key):
         return len(self.table) + 1
 
+    @invariant()
+    def is_history_independent(self):
+        t = self.table
+        replay = CompactTable(replace(t.params, growth_enabled=False))
+        for key in self.order:
+            replay.insert(key)
+        assert replay.state_bytes() == t.state_bytes()
+
 
 class TombstoneMachine(TableMachine):
     cls = TombstoneTable
+
+    def adopt(self, table, order):
+        super().adopt(table, order)
+        self.mirror = WalkingReference(table.capacity, table.params.step)
+        for key in order:
+            self.mirror.insert(key)
+
+    def call(self, op, counted, key):
+        t = self.table
+        m = t.capacity
+        answer = super().call(op, counted, key)
+        if t.capacity != m:  # a growth rebuilt t from self.order, which insert_key set
+            self.adopt(t, self.order)
+        if answer is TypeError or answer is KeyOutOfRangeError:  # checks the mirror does not make
+            return answer
+        want = outcome(getattr(self.mirror, op + "_counted"), key)
+        assert want[0] is answer
+        if counted and answer is not TableFullError:
+            assert self.got[1] == want[1]
+        return answer
 
     def growth_count(self, key):
         # the insert takes the first non-BUSY slot on the key's path; only a FREE one raises the count
         t = self.table
         m, step = t.capacity, t.params.step
         i = key % m
-        while t.slot(i).state == BUSY:
+        while t._states[i] == BUSY:
             i = (i + step) % m
-        return t.non_free_count + 1 if t.slot(i).state == FREE else None
+        return t.non_free_count + 1 if t._states[i] == FREE else None
 
     @invariant()
     def index_is_the_busy_slots(self):
         t = self.table
-        cells = (t.slot(i) for i in range(t.capacity))
-        assert t._slot_of == {cell.key: i for i, cell in enumerate(cells) if cell.state == BUSY}
+        assert t._slot_of == {key: i for i, (key, state) in enumerate(zip(t._keys, t._states)) if state == BUSY}
 
     @invariant()
     def shortcuts_are_valid(self):
         assert_shortcuts_valid(self.table)
+
+    @invariant()
+    def equals_its_mirror(self):
+        assert self.table.state_bytes() == self.mirror.state_bytes()
 
 
 TestCompactMachine = CompactMachine.TestCase

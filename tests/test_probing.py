@@ -15,10 +15,10 @@ I64_MAX = (1 << 63) - 1
 
 def assert_home(key, capacity, index):
     """An insert into an empty table lands on its first probe at index."""
-    for cls, mark in ((CompactTable, 1), (TombstoneTable, BUSY)):
+    for cls, marks, mark in ((CompactTable, "_probe_counts", 1), (TombstoneTable, "_states", BUSY)):
         table = cls(TableParams(capacity, 1))
         assert table.insert_counted(key) == (True, 1)
-        assert table.slot(index) == (key, mark)
+        assert (table._keys[index], getattr(table, marks)[index]) == (key, mark)
 
 
 def probe_path(key, params, length):
@@ -29,7 +29,7 @@ def probe_path(key, params, length):
     for j in range(length):
         k = key + j * params.capacity
         assert table.insert_counted(k) == (True, j + 1)
-        path.append(next(i for i in range(params.capacity) if table.slot(i) == (k, j + 1)))
+        path.append(next(i for i, cell in enumerate(zip(table._keys, table._probe_counts)) if cell == (k, j + 1)))
     return path
 
 
@@ -230,8 +230,9 @@ def test_rebuilds_place_keys_through_no_public_insert(cls, monkeypatch):
 
 
 def test_default_params():
-    p = TableParams()
-    assert p.capacity == 1_000_000
+    with pytest.raises(TypeError):
+        TableParams()  # capacity has no default
+    p = TableParams(7)
     assert p.step == 1
     assert not p.growth_enabled
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from compacthash import (BUSY, DELETED, FREE, CapacityTooSmallError, TableFullError,
                          TableParams, TombstoneTable, check_invariants)
 from compacthash.probing import KEY_MAX, KEY_MIN
-from twin_ops import assert_shortcuts_valid, outcome, twin_cases
+from twin_ops import WalkingReference, assert_shortcuts_valid, outcome, twin_cases
 
 
 def build(capacity, step=1, keys=(), **kw):
@@ -16,74 +16,6 @@ def build(capacity, step=1, keys=(), **kw):
     for key in keys:
         assert table.insert(key)
     return table
-
-
-def states(table):
-    return [table.slot(i).state for i in range(table.capacity)]
-
-
-class WalkingReference:
-    """Literal three-state walk, used as the oracle for placement and probe counts.
-
-    Probes one slot at a time: remembers the first DELETED slot, stops at
-    FREE or on the key, reuses the remembered tombstone if the key was
-    absent. Kept deliberately naive.
-    """
-
-    def __init__(self, capacity, step=1):
-        self.m = capacity
-        self.step = step
-        self.keys = [0] * capacity
-        self.states = [FREE] * capacity
-        self.live = 0
-        self.non_free = 0
-
-    def _walk(self, key):
-        i = key % self.m
-        reuse = -1
-        n = 0
-        while True:
-            n += 1
-            s = self.states[i]
-            if s == FREE:
-                return i, reuse, False, n
-            if s == BUSY and self.keys[i] == key:
-                return i, reuse, True, n
-            if s == DELETED and reuse < 0:
-                reuse = i
-            i = (i + self.step) % self.m
-
-    def insert(self, key):
-        return self.insert_counted(key)[0]
-
-    def insert_counted(self, key):
-        i, reuse, found, n = self._walk(key)
-        if found:
-            return False, n
-        target = reuse if reuse >= 0 else i
-        if self.states[target] == FREE:
-            if self.m - self.non_free == 1:
-                raise TableFullError()
-            self.non_free += 1
-        self.states[target] = BUSY
-        self.keys[target] = key
-        self.live += 1
-        return True, n
-
-    def contains_counted(self, key):
-        return self._walk(key)[2:]
-
-    def remove_counted(self, key):
-        i, _, found, n = self._walk(key)
-        if found:
-            self.states[i] = DELETED
-            self.keys[i] = 0
-            self.live -= 1
-        return found, n
-
-    def state_bytes(self):
-        import array
-        return array.array("b", self.states).tobytes() + array.array("q", self.keys).tobytes()
 
 
 def test_invalid_params_propagate():
@@ -97,13 +29,13 @@ def test_invalid_params_propagate():
 class TestInsert:
     def test_home_slot(self):
         t = build(7, keys=[7])
-        assert t.slot(0) == (7, BUSY)
+        assert (t._keys[0], t._states[0]) == (7, BUSY)
 
     def test_reuses_tombstone(self):
         t = build(7, keys=[7])
         assert t.remove(7)
         assert t.insert(14)
-        assert t.slot(0) == (14, BUSY)
+        assert (t._keys[0], t._states[0]) == (14, BUSY)
         assert t.non_free_count == 1
 
     def test_duplicate_beyond_tombstone_not_consumed(self):
@@ -111,7 +43,7 @@ class TestInsert:
         t = build(7, keys=[7, 14])
         t.remove(7)
         assert not t.insert(14)
-        assert t.slot(0).state == DELETED
+        assert t._states[0] == DELETED
         assert t.non_free_count - len(t) == 1
 
     def test_full_when_no_free_slot_would_remain(self):
@@ -121,7 +53,7 @@ class TestInsert:
         # a tombstone on the path still accepts the key
         t.remove(3)
         assert t.insert(6)
-        assert t.slot(1) == (6, BUSY)
+        assert (t._keys[1], t._states[1]) == (6, BUSY)
         # but a placement that needs the last FREE slot keeps raising
         with pytest.raises(TableFullError):
             t.insert(9)
@@ -149,7 +81,7 @@ class TestRemove:
     def test_marks_deleted_without_freeing(self):
         t = build(7, keys=[7])
         assert t.remove(7)
-        assert states(t)[0] == DELETED
+        assert t._states[0] == DELETED
         assert len(t) == 0
         assert t.non_free_count == 1
 
@@ -230,7 +162,7 @@ class TestGrowthAndRehash:
             t.remove(key)
         assert t.insert(40)
         assert t.capacity == 8 and t.non_free_count == 5
-        assert t.slot(0) == (40, BUSY)
+        assert (t._keys[0], t._states[0]) == (40, BUSY)
         assert check_invariants(t).passed
 
 
@@ -271,8 +203,7 @@ def test_matches_walking_reference_exactly(ops, shape):
             assert t.remove_counted(key) == ref.remove_counted(key)
         assert t.state_bytes() == ref.state_bytes()
         # every op answers from _slot_of; check_invariants reads its size, not its entries
-        cells = (t.slot(i) for i in range(capacity))
-        assert t._slot_of == {cell.key: i for i, cell in enumerate(cells) if cell.state == BUSY}
+        assert t._slot_of == {key: i for i, (key, state) in enumerate(zip(t._keys, t._states)) if state == BUSY}
         report = check_invariants(t)
         assert report.passed, report.violations
 
@@ -325,8 +256,8 @@ def classical_insert_count(table, key):
     m, step = table.capacity, table.params.step
     i, n = key % m, 1
     while True:
-        cell = table.slot(i)
-        if cell.state == FREE or (cell.state == BUSY and cell.key == key):
+        state = table._states[i]
+        if state == FREE or (state == BUSY and table._keys[i] == key):
             return n
         i = (i + step) % m
         n += 1
