@@ -109,10 +109,50 @@ def check_invariants(table: AnyTable) -> ViolationReport:
     the no-FREE-slot-on-path property, key uniqueness.
     """
     if isinstance(table, CompactTable):
-        return _check_compact(table)
+        return _check_compact(table)[0]
     if isinstance(table, TombstoneTable):
-        return _check_tombstone(table)
+        return _check_tombstone(table)[0]
     raise TypeError(f"unsupported table type {type(table).__name__}")
+
+
+class _LastCheck:
+    """What one table's last check read, and the report it returned.
+
+    Calling it on a table checks the table as check_invariants does, but
+    a table whose checked state equals what the last call read gets that
+    call's report back. The state is read from the arrays, never from
+    which op ran, and it is everything the checker reads: capacity and
+    step; for a compact table its live count, how many slots are busy, and
+    the probe counts and keys at the slots that were busy; for a tombstone
+    table len(), its non-FREE count, its state bytes and the keys at the
+    slots that were BUSY. Equal counts at the old busy slots are all
+    nonzero, so with as many busy slots they are the same busy slots.
+    """
+
+    __slots__ = ("seen", "slots", "counts", "keys", "report")
+
+    def __init__(self):
+        self.seen = None
+
+    def __call__(self, table: AnyTable) -> ViolationReport:
+        # numpy compares here: array.__eq__ goes element by element in Python
+        keys = np.frombuffer(table._keys, dtype=np.int64)
+        if isinstance(table, CompactTable):
+            pc = np.frombuffer(table._probe_counts, dtype=np.int64)
+            seen = (table._capacity, table._step, table._live, np.count_nonzero(pc))
+            same = seen == self.seen and not np.count_nonzero(pc[self.slots] != self.counts)
+        else:
+            seen = (table._capacity, table._step, len(table), table._non_free, table._states.tobytes())
+            same = seen == self.seen
+        if same and not np.count_nonzero(keys[self.slots] != self.keys):
+            return self.report
+        if isinstance(table, CompactTable):
+            self.report, self.slots = _check_compact(table)
+            self.counts = pc[self.slots]
+        else:
+            self.report, self.slots = _check_tombstone(table)
+        self.seen, self.keys = seen, keys[self.slots]
+        return self.report
 
 
 def _occupied_in_cycle(occupied: np.ndarray, marks: np.ndarray,
@@ -164,7 +204,8 @@ def _dup_violations(keys_busy: np.ndarray, slots_busy: np.ndarray) -> list[Viola
     return out
 
 
-def _check_compact(table: CompactTable) -> ViolationReport:
+def _check_compact(table: CompactTable) -> tuple[ViolationReport, np.ndarray]:
+    """The report on table and its busy slots."""
     m = table._capacity
     step = table._step
     pc = np.frombuffer(table._probe_counts, dtype=np.int64)
@@ -183,7 +224,7 @@ def _check_compact(table: CompactTable) -> ViolationReport:
     ks.sort()
     flags[1:] |= ks[1:] == ks[:-1]  # a repeated key
     if live == table._live and live < m and not np.count_nonzero(flags):
-        return ViolationReport()
+        return ViolationReport(), busy
 
     report = ViolationReport()
     if live != len(table):
@@ -217,10 +258,11 @@ def _check_compact(table: CompactTable) -> ViolationReport:
         report.violations.append(Violation(
             s, REACHABILITY_GAP,
             f"key {int(kb[i])} at slot {s}: only {int(f)} of {int(d[i])} path slots busy"))
-    return report
+    return report, busy
 
 
-def _check_tombstone(table: TombstoneTable) -> ViolationReport:
+def _check_tombstone(table: TombstoneTable) -> tuple[ViolationReport, np.ndarray]:
+    """The report on table and its BUSY slots."""
     m = table._capacity
     step = table._step
     st = np.frombuffer(table._states, dtype=np.int8)
@@ -244,7 +286,7 @@ def _check_tombstone(table: TombstoneTable) -> ViolationReport:
     flags[1:] |= ks[1:] == ks[:-1]  # a repeated key
     if (live == len(table) and non_free == table._non_free and non_free < m
             and not np.count_nonzero(invalid) and not np.count_nonzero(flags)):
-        return ViolationReport()
+        return ViolationReport(), busy
 
     kb = keys[busy]
     report = ViolationReport()
@@ -265,7 +307,7 @@ def _check_tombstone(table: TombstoneTable) -> ViolationReport:
         report.violations.append(Violation(
             s, REACHABILITY_GAP,
             f"key {int(kb[i])} at slot {s}: {int(f)} FREE slot(s) on its probe path"))
-    return report
+    return report, busy
 
 
 def probe_stats(table: AnyTable) -> ProbeStats:

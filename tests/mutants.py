@@ -172,6 +172,24 @@ MUTANTS = (
            "        draws = _draws(spec.seed, start, ",
            "        draws = _draws(spec.seed, start + (start > 0), ",
            ("tests/test_harness.py::test_generate_workload_matches_scalar_reference[base phase across draw blocks]",)),
+    # a check of a table that no op changed reuses the last report, whatever was written behind its back
+    Mutant("reuse-skips-keys-at-busy-slots", "introspect.py",
+           "        if same and not np.count_nonzero(keys[self.slots] != self.keys):\n",
+           "        if same:\n",
+           ("tests/test_harness.py::test_a_table_changed_behind_its_back_is_checked_again[compact key at a busy slot]",
+            "tests/test_harness.py::test_a_table_changed_behind_its_back_is_checked_again"
+            "[tombstone key at a busy slot]")),
+    Mutant("reuse-skips-tombstone-counters", "introspect.py",
+           "len(table), table._non_free, table._states.tobytes())",
+           "table._states.tobytes())",
+           ("tests/test_harness.py::test_a_table_changed_behind_its_back_is_checked_again[tombstone non-FREE count]",
+            "tests/test_harness.py::test_a_table_changed_behind_its_back_is_checked_again[tombstone len]")),
+    # as many busy slots, holding the same keys, but with other probe counts
+    Mutant("compact-reuse-skips-busy-counts", "introspect.py",
+           "            same = seen == self.seen and not np.count_nonzero(pc[self.slots] != self.counts)\n",
+           "            same = seen == self.seen\n",
+           ("tests/test_harness.py::test_a_table_changed_behind_its_back_is_checked_again"
+            "[compact count at a busy slot]",)),
 )
 
 

@@ -316,38 +316,6 @@ def test_criterion_6():
     _report(6, "20 seeds: removing every key restores byte-identical fresh state", ok)
 
 
-def _desk_compact_churn_ok(params: TableParams, seeds: int, op_count: int) -> bool:
-    from compacthash import TableFullError, check_invariants
-
-    cap = params.capacity - 1
-    for seed in range(seeds):
-        ops = generate_workload(WorkloadSpec(seed, op_count, (0, 30)))
-        table = CompactTable(params)
-        model = set()
-        for kind, key in ops:
-            if kind == "add":
-                try:
-                    result = table.insert(key)
-                except TableFullError:
-                    if len(model) != cap or key in model:
-                        return False
-                    continue
-                expected = key not in model
-                model.add(key)
-            elif kind == "contains":
-                result = table.contains(key)
-                expected = key in model
-            else:
-                result = table.remove(key)
-                expected = key in model
-                model.discard(key)
-            if result is not expected or not check_invariants(table).passed:
-                return False
-        if sorted(table.keys()) != sorted(model):
-            return False
-    return True
-
-
 def test_criterion_7(differential_campaign, perop_check_campaign):
     ok = not differential_campaign[3] and not perop_check_campaign[3]
 
@@ -376,24 +344,27 @@ def test_criterion_7(differential_campaign, perop_check_campaign):
         removed=0,
         slots_after=[(0, (7, 1)), (5, (14, 2))])
 
-    # criterion 1 at desk scale for step 5, capacity 7. Three-way runs
-    # must stay within the tombstone table's FREE-slot budget (non-FREE
-    # never decreases, so six ops can never saturate a 7-slot table).
-    desk_failures = []
-    for seed in range(200):
-        spec = WorkloadSpec(seed, op_count=6, key_universe=(0, 14), mix=MIX)
-        verdict = run_differential(generate_workload(spec), TableParams(7, 5), check_every=1)
-        if not verdict.passed:
-            desk_failures.append(seed)
-    ok &= not desk_failures
-    # sustained churn at step 5 exercises compression hard; the tombstone
-    # baseline saturates by design at this size, so compare the compact
-    # table against the oracle alone, with the occupancy cap as contract
-    ok &= _desk_compact_churn_ok(TableParams(7, 5), seeds=100, op_count=400)
+    # criterion 1 at desk scale for step 5, capacity 7, checked after every
+    # op: 200 three-way runs, and 100 of sustained churn, which exercises
+    # compression hard. Every run saturates the tombstone table, as its
+    # design does at this size; run_differential records where, and from
+    # there compares the compact table with the oracle alone, the
+    # occupancy cap included
+    desk_failures, unsaturated = [], []
+    for seeds, op_count, universe in ((200, 100, (0, 14)), (100, 400, (0, 30))):
+        for seed in range(seeds):
+            spec = WorkloadSpec(seed, op_count, universe, MIX)
+            verdict = run_differential(generate_workload(spec), TableParams(7, 5), check_every=1)
+            if not verdict.passed:
+                desk_failures.append((universe, seed))
+            if verdict.tombstone_saturated_at is None:
+                unsaturated.append((universe, seed))
+    ok &= not desk_failures and not unsaturated
 
     # criterion 6 under both alternate configurations
     ok &= _clean_empty_ok(CAPACITY, 3, 1000, seeds=5)
     ok &= _clean_empty_ok(7, 5, 5)
 
     _report(7, "criteria 1, 2, 6 hold with step 3 (capacity 65536) and step 5 (capacity 7)", ok,
-            f"desk_failures={desk_failures[:3]}" if desk_failures else "")
+            f"desk_failures={desk_failures[:3]} unsaturated={unsaturated[:3]}"
+            if desk_failures or unsaturated else "")

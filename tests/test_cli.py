@@ -9,14 +9,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import compacthash.cli
-from compacthash import CompactTable, TombstoneTable, parse_trace
+from compacthash import CompactTable, TombstoneTable, parse_trace, run_differential
 from compacthash.cli import main
+from compacthash.harness import TABLE_FULL
+from reference_differential import oracle_result
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# fuzz flags that reach the occupancy cap, and for each seed the run
+# reached: (the oracle's TableFull answers, tombstone_saturated_at)
+OCCUPANCY_CAP_RUNS = {
+    "cap1": (("--seed-count", "1", "--capacity", "1", "--ops", "10"), [(6, 1)]),
+    "cap2": (("--seed-count", "1", "--capacity", "2", "--ops", "1000"), [(303, 2)]),
+    "cap16-seed-1": (("--seed-count", "1", "--capacity", "16", "--ops", "50", "--seed-start", "-1"), [(5, 38)]),
+    "cap16-seed-3": (("--seed-count", "1", "--capacity", "16", "--ops", "50", "--seed-start", "-3"), [(2, 39)]),
+    # the tombstone table alone saturates, the compact table never at its cap
+    "cap64-tombstone-saturates": (("--seed-count", "2", "--capacity", "64", "--universe=0:64", "--ops", "3000",
+                                   "--check-every", "1"), [(0, 1051), (0, 540)]),
+}
 
 
 class TestFuzz:
@@ -28,19 +43,26 @@ class TestFuzz:
         assert out.count(": ok") == 3
         assert not list(tmp_path.iterdir())  # artifacts only on failure
 
-    @pytest.mark.parametrize("flags", [
-        ("--capacity", "1", "--ops", "10"),
-        ("--capacity", "2", "--ops", "1000"),
-        ("--capacity", "16", "--ops", "50", "--seed-start", "-1"),
-        ("--capacity", "16", "--ops", "50", "--seed-start", "-3"),
-        ("--capacity", "64", "--universe=0:64", "--ops", "3000", "--check-every", "1"),
-    ], ids=["cap1", "cap2", "cap16-seed-1", "cap16-seed-3", "cap64-tombstone-saturates"])
-    def test_a_table_at_its_occupancy_cap_passes(self, capsys, tmp_path, flags):
+    @pytest.mark.parametrize("name", OCCUPANCY_CAP_RUNS)
+    def test_a_table_at_its_occupancy_cap_passes(self, capsys, tmp_path, monkeypatch, name):
         # each run reaches TableFull: both tables at the cap, or the
-        # tombstone table alone, its tombstones filling it first
-        code, out, _ = run(capsys, "fuzz", "--seed-count", "1", *flags, "--out-dir", str(tmp_path))
-        assert code == 0 and ": ok" in out
+        # tombstone table alone, its tombstones filling it first. What each
+        # seed's run_differential call reached is checked, not assumed
+        flags, reached = OCCUPANCY_CAP_RUNS[name]
+        runs = []
+
+        def recorded(ops, params, check_every):
+            verdict = run_differential(ops, params, check_every)
+            model = set()
+            cap_hits = sum(oracle_result(model, op, params) == TABLE_FULL for op in ops)
+            runs.append((cap_hits, verdict.tombstone_saturated_at))
+            return verdict
+
+        monkeypatch.setattr(compacthash.cli, "run_differential", recorded)
+        code, out, _ = run(capsys, "fuzz", *flags, "--out-dir", str(tmp_path))
+        assert code == 0 and out.count(": ok") == len(reached)
         assert not list(tmp_path.iterdir())
+        assert runs == reached
 
     def test_disabled_compression_fails_with_artifacts(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(CompactTable, "_compress", lambda self, free: (0, 0))

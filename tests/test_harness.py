@@ -1,5 +1,7 @@
+import functools
 import gc
 import json
+from itertools import count
 from math import gcd
 
 import pytest
@@ -7,10 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import scalar_splitmix
 from reference_differential import reference_differential
-from compacthash import (ADD, CONTAINS, REMOVE, CompactTable, Divergence, EmptyKeyUniverseError,
-                         InvariantFailure, SplitMix64, TableFullError, TableParams, TombstoneTable,
-                         TraceParseError, Verdict, ViolationReport, WorkloadSpec, format_trace,
-                         generate_workload, parse_trace, run_differential)
+from test_checker_equivalence import _corrupt
+from compacthash import (ADD, CONTAINS, COUNT_MISMATCH, DELETED, REACHABILITY_GAP, REMOVE, SLOT_INCONSISTENT,
+                         CompactHashError, CompactTable, Divergence, EmptyKeyUniverseError, InvariantFailure,
+                         SplitMix64, TableFullError, TableParams, TombstoneTable, TraceParseError, Verdict,
+                         ViolationReport, WorkloadSpec, format_trace, generate_workload, parse_trace,
+                         run_differential)
 from compacthash.harness import TABLE_FULL, LiveKeys, _draws
 from compacthash.probing import KEY_MIN
 
@@ -472,22 +476,181 @@ def disabled_compress(self, free):
     return 0, 0
 
 
+class NoEmptySlot(Exception):
+    """A corruption took a table's last empty slot, so its next walk might never end."""
+
+
+# the table methods both differential loops reach: run_differential calls
+# the compact twins and the tombstone's plain ops, and the reference loop's
+# plain compact ops call the twins
+LOOP_METHODS = {CompactTable: ("insert_counted", "contains_counted", "remove_counted"),
+                TombstoneTable: ("insert", "contains", "remove")}
+
+
+def corrupted_between_ops(mp, corrupt):
+    """Make corrupt(table) run after each call of LOOP_METHODS; a call on a
+    table with no empty slot raises NoEmptySlot instead."""
+    def after(method):
+        @functools.wraps(method)
+        def call(table, key):
+            marks = table._probe_counts if isinstance(table, CompactTable) else table._states
+            if 0 not in marks:
+                raise NoEmptySlot
+            try:
+                return method(table, key)
+            finally:
+                corrupt(table)
+        return call
+
+    for cls, names in LOOP_METHODS.items():
+        for name in names:
+            mp.setattr(cls, name, after(getattr(cls, name)))
+
+
+def _fields(t):
+    """Every field of t that _corrupt can change."""
+    if isinstance(t, CompactTable):
+        return bytes(t._probe_counts), bytes(t._keys), t._live
+    return bytes(t._states), bytes(t._keys), dict(t._slot_of), t._non_free
+
+
+class Corruptions:
+    """_corrupt after the drawn calls of a differential loop, the same in every loop.
+
+    The first loop draws from data; each later one, after rewind(), gets
+    the same values back, so two loops that make the same table calls on
+    the same tables make the same corruptions. changed says whether one of
+    them has changed a table in the current loop so far.
+    """
+
+    def __init__(self, data, op_count):
+        self.data = data
+        # each op calls both tables
+        self.at = data.draw(st.sets(st.integers(0, 2 * op_count - 1), max_size=3), label="corrupt after calls")
+        self.values = []
+        self.replay = None
+        self.calls = 0
+        self.changed = False
+
+    def draw(self, strategy, label=None):
+        if self.replay is not None:
+            return next(self.replay)
+        value = self.data.draw(strategy, label=label)
+        self.values.append(value)
+        return value
+
+    def __call__(self, table):
+        if self.calls in self.at:
+            before = _fields(table)
+            _corrupt(self, table)
+            self.changed |= _fields(table) != before
+        self.calls += 1
+
+    def rewind(self):
+        self.calls = 0
+        self.changed = False
+        self.replay = iter(self.values)
+
+
+def verdict_json(loop, ops, params, check_every, corruptions):
+    """loop(ops, params, check_every).to_json_dict(), or the error a table
+    raised after corruptions changed one.
+
+    Besides NoEmptySlot, that is a CompactHashError, or a ValueError from
+    len() once ops take a corrupted live count below 0. Any error a loop
+    raises before a corruption has changed a table propagates.
+    """
+    try:
+        return loop(ops, params, check_every).to_json_dict()
+    except (NoEmptySlot, CompactHashError, ValueError) as e:
+        if corruptions is None or not corruptions.changed:
+            raise
+        return f"{type(e).__name__}: {e}"
+
+
 @pytest.mark.parametrize("compress", ["on", "off"])
 @settings(max_examples=300, deadline=None)
-@given(case=differential_cases())
+@given(case=differential_cases(), data=st.data())
 @example(case=([(ADD, 7), (ADD, 14), (REMOVE, 7), (CONTAINS, 14)],
-               TableParams(7, 1), 1))
-@example(case=([(ADD, 0), (ADD, 1), (ADD, 2)], TableParams(3, 1), 2))
-@example(case=(ONE_SIDED_TABLE_FULL, TableParams(4, 1), 1))
-@example(case=([(ADD, 0), (ADD, 1), (ADD, 2), (REMOVE, 0), (ADD, 2), (CONTAINS, 2)], TableParams(3, 1), 1))
-def test_run_differential_matches_reference_loop(compress, case):
+               TableParams(7, 1), 1), data=None)
+@example(case=([(ADD, 0), (ADD, 1), (ADD, 2)], TableParams(3, 1), 2), data=None)
+@example(case=(ONE_SIDED_TABLE_FULL, TableParams(4, 1), 1), data=None)
+@example(case=([(ADD, 0), (ADD, 1), (ADD, 2), (REMOVE, 0), (ADD, 2), (CONTAINS, 2)], TableParams(3, 1), 1),
+         data=None)
+def test_run_differential_matches_reference_loop(compress, case, data):
+    # with data, both loops run on tables that _corrupt changes between ops
+    # (keys and counts at occupied slots, counters, states, keys at empty
+    # slots), often between two checks of a table no op changed
     ops, params, check_every = case
     with pytest.MonkeyPatch.context() as mp:
         if compress == "off":
             mp.setattr(CompactTable, "_compress", disabled_compress)
-        got = run_differential(ops, params, check_every).to_json_dict()
-        want = reference_differential(ops, params, check_every).to_json_dict()
+        corruptions = None
+        if data is not None:
+            corruptions = Corruptions(data, len(ops))
+            corrupted_between_ops(mp, corruptions)
+        got = verdict_json(run_differential, ops, params, check_every, corruptions)
+        if corruptions is not None:
+            corruptions.rewind()
+        want = verdict_json(reference_differential, ops, params, check_every, corruptions)
     assert got == want
+
+
+def _bump(name):
+    def corrupt(t):
+        setattr(t, name, getattr(t, name) + 1)
+    return corrupt
+
+
+def _key_at(slot, key):
+    def corrupt(t):
+        t._keys[slot] = key
+    return corrupt
+
+
+def _count_at_slot_of_key_8(t):
+    t._probe_counts[2] += 1  # key 8 sits at slot 2, one slot past its home, with count 2
+
+
+def _flip_state(t):
+    t._states[2] = DELETED  # key 8's slot, while _slot_of still holds it
+
+
+# Changes made behind a table's back after op 3, a contains that leaves both
+# tables as they were: (table kind, change, the violations the check after
+# op 3 then reports). The first check of a run reads no earlier record, so
+# only a check after an unchanged op can wrongly reuse its last report.
+UNSEEN_CHANGES = {
+    "compact key at a busy slot": (CompactTable, _key_at(2, 17), [(2, SLOT_INCONSISTENT)]),
+    "tombstone key at a busy slot": (TombstoneTable, _key_at(2, 17), [(2, REACHABILITY_GAP)]),
+    "compact count at a busy slot": (CompactTable, _count_at_slot_of_key_8, [(2, SLOT_INCONSISTENT)]),
+    "compact live count": (CompactTable, _bump("_live"), [(-1, COUNT_MISMATCH)]),
+    "tombstone non-FREE count": (TombstoneTable, _bump("_non_free"), [(-1, COUNT_MISMATCH)]),
+    "tombstone state flip": (TombstoneTable, _flip_state, [(-1, COUNT_MISMATCH)]),
+    "tombstone len": (TombstoneTable, lambda t: t._slot_of.pop(8), [(-1, COUNT_MISMATCH)]),
+    "compact key at an empty slot": (CompactTable, _key_at(4, 1), []),
+    "tombstone key at an empty slot": (TombstoneTable, _key_at(4, 1), []),
+}
+
+
+@pytest.mark.parametrize("change", UNSEEN_CHANGES)
+def test_a_table_changed_behind_its_back_is_checked_again(change):
+    kind, corrupt, violations = UNSEEN_CHANGES[change]
+    # keys 1 and 8 share home 1 of 7 slots, so key 8 sits at slot 2
+    ops = [(ADD, 1), (ADD, 8), (CONTAINS, 1), (CONTAINS, 8), (CONTAINS, 1)]
+    call = 2 * 3 + (kind is TombstoneTable)  # each op calls the compact table, then the tombstone one
+    verdicts = []
+    for loop in (run_differential, reference_differential):
+        calls = count()
+        with pytest.MonkeyPatch.context() as mp:
+            corrupted_between_ops(mp, lambda t: corrupt(t) if next(calls) == call else None)
+            verdicts.append(loop(ops, TableParams(7, 1), 1).to_json_dict())
+    got, want = verdicts
+    assert got == want
+    failures = {(f["op_index"], f["table_kind"]): [(v["slot_index"], v["kind"]) for v in f["report"]["violations"]]
+                for f in got["invariant_failures"]}
+    table_kind = "compact" if kind is CompactTable else "tombstone"
+    assert failures.get((3, table_kind), []) == violations
 
 
 class TestTraceFormat:

@@ -23,6 +23,10 @@ it checks that:
 - a TombstoneTable equals a WalkingReference mirror that took the same
   ops and was rebuilt as the table was, and each counted call returns
   the mirror's count.
+
+The tombstone machine also removes a live key and inserts it again at
+once. That insert reuses a tombstone, so it must grow no table, also one
+that inserts filled to the growth threshold or a prefill left past it.
 """
 
 from dataclasses import replace
@@ -30,7 +34,7 @@ from math import gcd
 
 import pytest
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from compacthash import (BUSY, FREE, CapacityTooSmallError, CompactTable, KeyOutOfRangeError,
                          TableFullError, TombstoneTable, check_invariants)
@@ -199,6 +203,15 @@ class TombstoneMachine(TableMachine):
         if counted and answer is not TableFullError:
             assert self.got[1] == want[1]
         return answer
+
+    @precondition(lambda self: self.model)
+    @rule(counted=st.booleans(), data=st.data())
+    def remove_and_reinsert(self, counted, data):
+        # the remove leaves a tombstone on the key's all non-FREE path, and the
+        # insert takes the first one, growing no table, even at the threshold
+        key = data.draw(st.sampled_from(sorted(self.model)), label="live key")
+        self.remove_key(counted, key)
+        self.insert_key(counted, key)
 
     def growth_count(self, key):
         # the insert takes the first non-BUSY slot on the key's path; only a FREE one raises the count
